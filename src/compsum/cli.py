@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -157,7 +158,8 @@ def _validate(config: RunConfig) -> RunConfig:
         ("lambda", config.lam >= 0, "must be >= 0"),
         ("key_k", config.key_k >= 0, "must be >= 0"),
         ("max_len", config.max_len >= 1, "must be >= 1"),
-        ("temperature", config.temperature >= 0, "must be >= 0"),
+        ("temperature", math.isfinite(config.temperature) and config.temperature >= 0,
+         "must be finite and >= 0"),
         ("tau", 0 < config.tau <= 1, "must be in (0, 1]"),
         ("min_freq", config.min_freq >= 1, "must be >= 1"),
         ("synth_count", config.synth_count >= 0, "must be >= 0"),

@@ -71,5 +71,9 @@ class LengthMismatch(InvariantError):
     """Logit rows and target positions disagree in count."""
 
 
+class NonFiniteTraining(InvariantError):
+    """A training step produced a non-finite loss or gradient norm."""
+
+
 class StaleTrace(InvariantError):
     """A cached forward trace does not match the parameters it is paired with."""

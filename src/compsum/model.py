@@ -88,13 +88,10 @@ def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x)
+    # below, with the same roundings as evaluating each branch on its own.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -104,16 +101,61 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return ex / np.sum(ex, axis=-1, keepdims=True)
 
 
-def _recurrent_cell_traced(
-    params: ModelParams, h_prev: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """recurrent_cell plus the gate activations the backward pass replays."""
-    t = params.tensors
-    z = sigmoid(t["W_z"] @ x + t["U_z"] @ h_prev + t["b_z"])
-    r = sigmoid(t["W_r"] @ x + t["U_r"] @ h_prev + t["b_r"])
-    h_cand = np.tanh(t["W_h"] @ x + t["U_h"] @ (r * h_prev) + t["b_h"])
-    h = (1.0 - z) * h_prev + z * h_cand
-    return h, z, r, h_cand
+def _matvec_rows(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``M @ v`` for every row v of ``rows`` in one call.
+
+    Each row gets its own matrix-vector product, so it rounds exactly as
+    ``M @ v`` alone; a GEMM such as ``rows @ M.T`` sums in another order.
+    """
+    return np.matmul(M, rows[:, :, None])[:, :, 0]
+
+
+class _GatedCell:
+    """The gated recurrent cell of one parameter set, split into the input
+    projections, which do not depend on the hidden state and are computed
+    for many positions at once, and the step along the hidden-state chain.
+
+    Each gate keeps its own matrix-vector products, so every position gets
+    bit for bit the values of evaluating the cell on its own.  One product
+    with the gate matrices stacked would not: with OpenBLAS it rounds some
+    rows differently whenever d >= 9 is not a multiple of 4, because the
+    stacked rows fall into other blocks of the kernel.
+    """
+
+    def __init__(self, params: ModelParams):
+        t = params.tensors
+        self.d = params.d
+        self.W = (t["W_z"], t["W_r"], t["W_h"])
+        self.U_z, self.U_r, self.U_h = t["U_z"], t["U_r"], t["U_h"]
+        self.b_zr = np.concatenate([t["b_z"], t["b_r"]])
+        self.b_h = t["b_h"]
+
+    def project(self, xs: np.ndarray) -> np.ndarray:
+        """Rows [W_z x; W_r x; W_h x] (n, 3d) for the rows x of xs (n, d)."""
+        d = self.d
+        out = np.empty((len(xs), 3 * d))
+        for g, W in enumerate(self.W):
+            out[:, g * d : (g + 1) * d] = _matvec_rows(W, xs)
+        return out
+
+    def step(
+        self, h_prev: np.ndarray, xw: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One cell step from a projected input; returns (h, [z; r], h~)."""
+        d = self.d
+        a = np.empty(2 * d)
+        np.matmul(self.U_z, h_prev, out=a[:d])
+        np.matmul(self.U_r, h_prev, out=a[d:])
+        a += xw[: 2 * d]  # (W x + U h) + b, the cell's order of additions
+        a += self.b_zr
+        zr = sigmoid(a)
+        z, r = zr[:d], zr[d:]
+        c = self.U_h @ (r * h_prev)
+        c += xw[2 * d :]
+        c += self.b_h
+        h_cand = np.tanh(c)
+        h = (1.0 - z) * h_prev + z * h_cand
+        return h, zr, h_cand
 
 
 def recurrent_cell(params: ModelParams, h_prev: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -130,7 +172,8 @@ def recurrent_cell(params: ModelParams, h_prev: np.ndarray, x: np.ndarray) -> np
         raise DimensionMismatch(
             f"cell inputs must have shape ({params.d},), got {x.shape} and {h_prev.shape}"
         )
-    return _recurrent_cell_traced(params, h_prev, x)[0]
+    cell = _GatedCell(params)
+    return cell.step(h_prev, cell.project(x[None])[0])[0]
 
 
 @dataclass
@@ -223,30 +266,36 @@ def _run_stream(
         raise EmptyInput("cannot run the model on an empty stream")
     if not region_spans or region_spans[0][0] != 0 or region_spans[-1][1] != S:
         raise DimensionMismatch("region spans must tile the stream")
-    d, V = params.d, params.V
-    t = params.tensors
-    xs = np.zeros((S, d))
-    hs = np.zeros((S, d))
-    zs = np.zeros((S, d))
-    rs = np.zeros((S, d))
-    h_cands = np.zeros((S, d))
-    region_mems: list[np.ndarray] = []
-    updates: list[MemoryUpdateTrace] = []
-    mem = np.zeros(d)
-    h = np.zeros(d)
     prev_end = 0
     for start, end in region_spans:
         if start != prev_end or end <= start:
             raise DimensionMismatch("region spans must tile the stream")
         prev_end = end
+    d, V = params.d, params.V
+    ids = np.asarray(input_ids)
+    out_of_range = (ids < 0) | (ids >= V)
+    if out_of_range.any():
+        tok = ids[int(np.argmax(out_of_range))]
+        raise DimensionMismatch(f"token id {tok} out of range (V={V})")
+    t = params.tensors
+    cell = _GatedCell(params)
+    xs = t["E"][ids]
+    hs = np.empty((S, d))
+    zrs = np.empty((S, 2 * d))
+    h_cands = np.empty((S, d))
+    region_mems: list[np.ndarray] = []
+    updates: list[MemoryUpdateTrace] = []
+    mem = np.zeros(d)
+    h = np.zeros(d)
+    for start, end in region_spans:
         region_mems.append(mem)
-        for p in range(start, end):
-            tok = input_ids[p]
-            if not 0 <= tok < V:
-                raise DimensionMismatch(f"token id {tok} out of range (V={V})")
-            x = t["E"][tok] + mem if memory_on else t["E"][tok]
-            h, z, r, h_cand = _recurrent_cell_traced(params, h, x)
-            xs[p], hs[p], zs[p], rs[p], h_cands[p] = x, h, z, r, h_cand
+        if memory_on:
+            xs[start:end] += mem
+        # cell.project works row by row, so the projections do not depend on
+        # the region layout: memory-off outputs stay chunking-invariant.
+        for p, x_proj in zip(range(start, end), cell.project(xs[start:end])):
+            h, zrs[p], h_cands[p] = cell.step(h, x_proj)
+            hs[p] = h
         if memory_on and end < S:
             update = _memory_update_traced(params, (start, end), mem, hs[start:end])
             updates.append(update)
@@ -255,7 +304,7 @@ def _run_stream(
     logits = hs[logits_start:] @ t["W_o"].T + t["b_o"][None, :]
     assert logits.shape == (n_logits, V)
     return ForwardTrace(
-        list(input_ids), list(region_spans), xs, hs, zs, rs, h_cands,
+        list(input_ids), list(region_spans), xs, hs, zrs[:, :d], zrs[:, d:], h_cands,
         region_mems, updates, logits, logits_start, memory_on,
     )
 
@@ -330,19 +379,14 @@ def _decode(
     memory_on = flags is None or not flags.disable_memory
     context, spans = _chunk_layout(context_chunks)
     t = params.tensors
-    d = params.d
-    mem = np.zeros(d)
-    h = np.zeros(d)
-    for start, end in spans:
-        hiddens = np.zeros((end - start, d))
-        for p in range(start, end):
-            x = t["E"][context[p]] + mem if memory_on else t["E"][context[p]]
-            h = _recurrent_cell_traced(params, h, x)[0]
-            hiddens[p - start] = h
-        if memory_on:
-            # The generated summary forms the next region, so every context
-            # chunk, including the last, is folded into the memory.
-            mem = memory_update(params, mem, hiddens)
+    prefill = _run_stream(params, context, spans, memory_on, len(context))
+    h = prefill.hs[-1]
+    mem = prefill.region_mems[-1]
+    if memory_on:
+        # The generated summary forms the next region, so the last context
+        # chunk is folded into the memory too.
+        mem = memory_update(params, mem, prefill.hs[spans[-1][0] :])
+    cell = _GatedCell(params)
     out: list[int] = []
     while len(out) < max_len:
         logits = t["W_o"] @ h + t["b_o"]
@@ -353,7 +397,7 @@ def _decode(
             break
         out.append(tok)
         x = t["E"][tok] + mem if memory_on else t["E"][tok]
-        h = _recurrent_cell_traced(params, h, x)[0]
+        h = cell.step(h, cell.project(x[None])[0])[0]
     return out
 
 
@@ -377,14 +421,20 @@ def sample_decode(
     seed: int,
     flags: AblationFlags | None = None,
 ) -> list[int]:
-    """Temperature sampling from softmax(logits / temperature), seeded."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0 for sampling")
+    """Temperature sampling from softmax(logits / temperature), seeded.
+
+    The logits are shifted to a maximum of 0 before the division, so a
+    temperature too small for the quotients to stay finite samples the
+    greedy token: every other quotient overflows to -inf.
+    """
+    if not (np.isfinite(temperature) and temperature > 0):
+        raise ValueError("temperature must be finite and > 0 for sampling")
     rng = np.random.default_rng(seed)
 
     def pick(logits: np.ndarray) -> int:
-        probs = softmax(logits / temperature)
-        return int(rng.choice(params.V, p=probs))
+        with np.errstate(over="ignore"):
+            scaled = (logits - logits.max()) / temperature
+        return int(rng.choice(params.V, p=softmax(scaled)))
 
     return _decode(params, context_chunks, max_len, flags, pick)
 

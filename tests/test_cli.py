@@ -95,6 +95,8 @@ class TestLoadConfig:
             ("key_k=-1", "key_k"),
             ("max_len=0", "max_len"),
             ("temperature=-1", "temperature"),
+            ("temperature=inf", "temperature"),
+            ("temperature=nan", "temperature"),
             ("tau=0", "tau"),
             ("tau=1.5", "tau"),
             ("min_freq=0", "min_freq"),
@@ -213,6 +215,23 @@ class TestSubcommands:
         assert invoke(["generate", "--config", cfg])[0] == 0
         assert open(report, "rb").read() == first
 
+    def test_generate_extreme_temperatures(self, workspace):
+        root, paths = workspace
+        keys = dict(data=paths["data"], vocab=paths["vocab"], checkpoint_in=paths["ckpt"],
+                    max_len="20")
+        greedy = str(root / "greedy.jsonl")
+        tiny = str(root / "tiny_temperature.jsonl")
+        assert invoke(["generate", "--config",
+                       write_config(root, "greedy.cfg", report=greedy, **keys)])[0] == 0
+        code, _, err = invoke(["generate", "--config", write_config(
+            root, "tiny.cfg", report=tiny, temperature="1e-320", **keys)])
+        assert code == 0, err
+        assert open(tiny, "rb").read() == open(greedy, "rb").read()
+        code, _, err = invoke(["generate", "--config", write_config(
+            root, "inf.cfg", report=str(root / "inf.jsonl"), temperature="inf", **keys)])
+        assert code == 2
+        assert "temperature" in err
+
     def test_evaluate_prints_aggregate(self, workspace):
         root, paths = workspace
         cfg = write_config(root, "eval.cfg", data=paths["data"], vocab=paths["vocab"],
@@ -294,3 +313,12 @@ class TestPipeline:
         code, _, err = invoke(["pipeline", "--config", cfg])
         assert code == 2
         assert "pipeline stage 'synth'" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_non_finite_training_exits_3(self, tmp_path):
+        # One Adam step at this rate moves every parameter by about 1e300,
+        # so the second step's loss overflows.
+        code, out, err = invoke(["pipeline", "--config", self._config(tmp_path, lr="1e300")])
+        assert code == 3
+        assert out == ""
+        assert "pipeline stage 'pretrain': pretrain step 2" in err

@@ -308,11 +308,14 @@ class TestDecode:
     def test_sample_decode_low_temperature_matches_greedy(self):
         p = self._rigged([9], worst_ids=[EOS])
         assert sample_decode(p, chunk([BOS, 7], 2), 5, 1e-3, seed=0) == [9] * 5
+        # every quotient but the greedy token's overflows to -inf
+        assert sample_decode(p, chunk([BOS, 7], 2), 5, 1e-320, seed=0) == [9] * 5
 
     def test_sample_temperature_validation(self):
         p = self._rigged([EOS])
-        with pytest.raises(ValueError):
-            sample_decode(p, chunk([BOS], 1), 5, 0.0, seed=0)
+        for temperature in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                sample_decode(p, chunk([BOS], 1), 5, temperature, seed=0)
 
     def test_max_len_validation(self):
         p = self._rigged([EOS])

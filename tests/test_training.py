@@ -26,9 +26,11 @@ from compsum.errors import (
     EmptySet,
     LengthMismatch,
     MissingInsights,
+    NonFiniteTraining,
     ShapeMismatch,
     StaleTrace,
 )
+from compsum import training
 from compsum.model import AblationFlags, ForwardTrace, encode_sequence, forward, init_params
 from compsum.training import (
     AdamState,
@@ -420,6 +422,30 @@ class TestTrainingLoops:
         assert len(records) == len(corpus)
         assert all(r.lam == 0.5 and r.l_comp > 0.0 for r in records)
         assert any(not np.array_equal(out[name], init[name]) for name in init.tensors)
+
+    def test_non_finite_values_name_stage_and_step(self, tiny_data):
+        corpus, vocab = tiny_data
+        init = init_params(8, len(vocab), 0)
+        init.tensors["W_o"][3, 2] = np.nan
+        with pytest.raises(NonFiniteTraining, match="pretrain step 1: loss nan"):
+            train_pretrain(corpus, self._config(), vocab, init=init)
+        with pytest.raises(NonFiniteTraining, match="comparative step 1: loss nan"):
+            train_comparative(corpus, init, self._config(stage="comparative"), vocab)
+
+    def test_contexts_assembled_once_per_stage(self, tiny_data, monkeypatch):
+        corpus, vocab = tiny_data
+        calls = []
+        assemble = training.assemble_context
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].id)
+            return assemble(*args, **kwargs)
+
+        monkeypatch.setattr(training, "assemble_context", counting)
+        params = train_pretrain(corpus, self._config(epochs=3), vocab)
+        assert len(calls) == len(corpus)
+        train_comparative(corpus, params, self._config(stage="comparative", epochs=3), vocab)
+        assert len(calls) == 2 * len(corpus)
 
     def test_stage_config_helpers(self):
         cfg = self._config(stage="comparative")
