@@ -56,7 +56,6 @@ from .model import (
 )
 from .training import (
     AdamState,
-    LossBreakdown,
     LossSpec,
     TrainConfig,
     backward,
@@ -69,7 +68,6 @@ from .training import (
     init_adam_state,
     optimizer_step,
     stage_loss,
-    total_loss,
     train_comparative,
     train_pretrain,
 )
@@ -85,9 +83,9 @@ __all__ = [
     "ModelParams", "AblationFlags", "ForwardTrace", "init_params",
     "recurrent_cell", "memory_update", "forward", "encode_sequence",
     "greedy_decode", "sample_decode", "save_checkpoint", "load_checkpoint",
-    "LossBreakdown", "LossSpec", "TrainConfig", "AdamState",
+    "LossSpec", "TrainConfig", "AdamState",
     "generation_loss", "cosine_similarity", "comparative_loss", "stage_loss",
-    "total_loss", "backward", "finite_difference_check", "gradcheck_probe",
+    "backward", "finite_difference_check", "gradcheck_probe",
     "clip_gradients", "init_adam_state", "optimizer_step",
     "train_pretrain", "train_comparative",
     "ScoreTriple", "RougeScores", "GScore", "EvalReport",

@@ -13,12 +13,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence, get_type_hints
+
+import numpy as np
 
 from .corpus import (
     Vocabulary,
-    assemble_context,
     build_vocab,
     chunk,
     dataset_token_streams,
@@ -26,13 +27,14 @@ from .corpus import (
     load_dataset,
     write_dataset,
 )
-from .errors import ConfigError, DataError, InvariantError
+from .errors import ConfigError, Error, InvariantError
 from .ioutil import atomic_write_text
 from .metrics import SENTENCE_DELIMITER, evaluate_dataset, write_report
 from .model import (
     AblationFlags,
     greedy_decode,
     load_checkpoint,
+    model_context,
     sample_decode,
     save_checkpoint,
 )
@@ -41,7 +43,6 @@ from .training import (
     TrainConfig,
     finite_difference_check,
     gradcheck_probe,
-    total_loss,
     train_comparative,
     train_pretrain,
 )
@@ -85,9 +86,8 @@ class RunConfig:
             self.disable_memory, self.disable_key_extraction, self.disable_comparative
         )
 
-    def train_config(self, stage: str) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         return TrainConfig(
-            stage=stage,
             learning_rate=self.lr,
             epochs=self.epochs,
             lam=self.lam,
@@ -99,52 +99,28 @@ class RunConfig:
         )
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ConfigError(key, f"expected true or false, got '{raw}'")
+def _parser(convert: Callable[[str], object], expected: str) -> Callable[[str, str], object]:
+    def parse(key: str, raw: str):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(key, f"expected {expected}, got '{raw}'") from None
+
+    return parse
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(key, f"expected an integer, got '{raw}'") from None
-
-
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got '{raw}'") from None
-
-
-# key -> (attribute, parser); parsers take (key, raw-string).
+_PARSERS: dict[type, Callable[[str, str], object]] = {
+    str: lambda key, raw: raw,
+    int: _parser(int, "an integer"),
+    float: _parser(float, "a number"),
+    bool: _parser({"true": True, "false": False}.__getitem__, "true or false"),
+}
+# key -> (attribute, parser), one per RunConfig field, the parser chosen by
+# the field's type; the key is the field name except 'lambda', a Python
+# keyword.  Parsers take (key, raw-string).
 _CONFIG_KEYS: dict[str, tuple[str, Callable]] = {
-    "stage": ("stage", lambda k, v: v),
-    "data": ("data", lambda k, v: v),
-    "vocab": ("vocab", lambda k, v: v),
-    "checkpoint_in": ("checkpoint_in", lambda k, v: v),
-    "checkpoint_out": ("checkpoint_out", lambda k, v: v),
-    "report": ("report", lambda k, v: v),
-    "d": ("d", _parse_int),
-    "l_chunk": ("l_chunk", _parse_int),
-    "lr": ("lr", _parse_float),
-    "epochs": ("epochs", _parse_int),
-    "lambda": ("lam", _parse_float),
-    "seed": ("seed", _parse_int),
-    "key_k": ("key_k", _parse_int),
-    "max_len": ("max_len", _parse_int),
-    "temperature": ("temperature", _parse_float),
-    "tau": ("tau", _parse_float),
-    "min_freq": ("min_freq", _parse_int),
-    "disable_memory": ("disable_memory", _parse_bool),
-    "disable_key_extraction": ("disable_key_extraction", _parse_bool),
-    "disable_comparative": ("disable_comparative", _parse_bool),
-    "synth_count": ("synth_count", _parse_int),
-    "synth_seed": ("synth_seed", _parse_int),
+    {"lam": "lambda"}.get(name, name): (name, _PARSERS[kind])
+    for name, kind in get_type_hints(RunConfig).items()
 }
 
 
@@ -153,9 +129,9 @@ def _validate(config: RunConfig) -> RunConfig:
         ("stage", config.stage in ("pretrain", "comparative"), "must be pretrain or comparative"),
         ("d", config.d >= 1, "must be >= 1"),
         ("l_chunk", config.l_chunk >= 1, "must be >= 1"),
-        ("lr", config.lr > 0, "must be > 0"),
+        ("lr", math.isfinite(config.lr) and config.lr > 0, "must be finite and > 0"),
         ("epochs", config.epochs >= 0, "must be >= 0"),
-        ("lambda", config.lam >= 0, "must be >= 0"),
+        ("lambda", math.isfinite(config.lam) and config.lam >= 0, "must be finite and >= 0"),
         ("key_k", config.key_k >= 0, "must be >= 0"),
         ("max_len", config.max_len >= 1, "must be >= 1"),
         ("temperature", math.isfinite(config.temperature) and config.temperature >= 0,
@@ -214,8 +190,6 @@ def _load_matching_checkpoint(config: RunConfig, vocab: Vocabulary):
 
 
 def _final_epoch_mean(records: list[StepRecord], epochs: int, attr: str) -> float:
-    if epochs == 0:
-        return 0.0
     values = [getattr(r, attr) for r in records if r.epoch == epochs]
     return sum(values) / len(values) if values else 0.0
 
@@ -252,18 +226,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     vocab, dataset = _load_vocab_and_data(config)
     records: list[StepRecord] = []
-    train_config = config.train_config(config.stage)
-    if config.stage == "pretrain":
-        init = None
-        if config.checkpoint_in:
-            init, _, _ = _load_matching_checkpoint(config, vocab)
-            if init.d != config.d:
-                raise ConfigError("d", f"config d={config.d} but checkpoint has d={init.d}")
-        params = train_pretrain(dataset, train_config, vocab, init, records.append)
-    else:
+    train_config = config.train_config()
+    init = None
+    if config.checkpoint_in or config.stage == "comparative":
         init, _, _ = _load_matching_checkpoint(config, vocab)
         if init.d != config.d:
             raise ConfigError("d", f"config d={config.d} but checkpoint has d={init.d}")
+    if config.stage == "pretrain":
+        params = train_pretrain(dataset, train_config, vocab, init, records.append)
+    else:
         params = train_comparative(dataset, init, train_config, vocab, records.append)
     if config.checkpoint_out:
         save_checkpoint(config.checkpoint_out, params, config.l_chunk, config.flags())
@@ -283,24 +254,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _assemble_for(config: RunConfig, vocab: Vocabulary, ps, flags: AblationFlags):
-    period_id = vocab.id_of(SENTENCE_DELIMITER)
-    context = assemble_context(
-        ps, config.key_k, period_id,
-        include_key_elements=not flags.disable_key_extraction,
-    )
-    return chunk(context, config.l_chunk)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     vocab, dataset = _load_vocab_and_data(config)
     params, ck_l_chunk, flags = _load_matching_checkpoint(config, vocab)
-    config = replace(config, l_chunk=ck_l_chunk)
     out = _require_path(config, "report")
+    period_id = vocab.id_of(SENTENCE_DELIMITER)
     lines = []
     for ps in dataset:
-        chunks = _assemble_for(config, vocab, ps, flags)
+        chunks = chunk(model_context(ps, config.key_k, period_id, flags), ck_l_chunk)
         if config.temperature == 0.0:
             ids = greedy_decode(params, chunks, config.max_len, flags)
         else:
@@ -337,7 +299,10 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def pipeline_end_to_end(config: RunConfig) -> int:
     """synth (if synth_count > 0) -> vocab -> pretrain -> comparative ->
-    evaluate; prints the aggregate report plus the two-stage loss total."""
+    evaluate; prints the aggregate report plus the two-stage loss total.
+
+    A failure propagates with the label of the stage it happened in, as its
+    ``pipeline_stage`` attribute."""
     label = "synth"
     try:
         if config.synth_count > 0:
@@ -353,12 +318,12 @@ def pipeline_end_to_end(config: RunConfig) -> int:
         label = "pretrain"
         pre_records: list[StepRecord] = []
         params = train_pretrain(
-            dataset, config.train_config("pretrain"), vocab, log_fn=pre_records.append
+            dataset, config.train_config(), vocab, log_fn=pre_records.append
         )
         label = "comparative"
         comp_records: list[StepRecord] = []
         params = train_comparative(
-            dataset, params, config.train_config("comparative"), vocab, comp_records.append
+            dataset, params, config.train_config(), vocab, comp_records.append
         )
         label = "checkpoint"
         if config.checkpoint_out:
@@ -375,18 +340,12 @@ def pipeline_end_to_end(config: RunConfig) -> int:
         summary = report.aggregate_record()
         summary["l_pretrain"] = l_pretrain
         summary["l_comparative"] = l_comparative
-        summary["total_loss"] = total_loss(l_pretrain, l_comparative)
+        summary["total_loss"] = l_pretrain + l_comparative
         print(json.dumps(summary))
         return 0
-    except DataError as exc:
-        print(f"error: pipeline stage '{label}': {exc}", file=sys.stderr)
-        return 2
-    except InvariantError as exc:
-        print(f"error: pipeline stage '{label}': {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: pipeline stage '{label}': {exc}", file=sys.stderr)
-        return 2
+    except (Error, OSError) as exc:
+        exc.pipeline_stage = label
+        raise
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
@@ -430,16 +389,15 @@ def run(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.handler(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # Overflow is checked explicitly where it matters (training steps,
+        # checkpoint loads, config values), so numpy's warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
+    except (Error, OSError) as exc:
+        stage = getattr(exc, "pipeline_stage", None)
+        where = f"pipeline stage '{stage}': " if stage else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return 3 if isinstance(exc, InvariantError) else 2
 
 
 def main() -> None:

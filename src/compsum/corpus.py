@@ -112,6 +112,10 @@ class Vocabulary:
             raise SchemaError(1, f"header says {size} tokens, file has {len(tokens)}")
         if tuple(tokens[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
             raise SchemaError(2, "reserved tokens missing or out of order")
+        seen: dict[str, int] = {}  # token -> first file line
+        for line_no, tok in enumerate(tokens, start=2):
+            if seen.setdefault(tok, line_no) != line_no:
+                raise SchemaError(line_no, f"duplicate token {tok!r} (first on line {seen[tok]})")
         return cls(tokens[len(RESERVED_TOKENS) :])
 
 
@@ -160,9 +164,7 @@ class PaperSet:
 class Chunk:
     """A contiguous token span; the unit the memory mechanism operates over."""
 
-    index: int  # 1-based
     tokens: list[int]
-    source_offset: int
 
 
 def chunk(tokens: Sequence[int], l_chunk: int) -> list[Chunk]:
@@ -175,10 +177,7 @@ def chunk(tokens: Sequence[int], l_chunk: int) -> list[Chunk]:
         raise ValueError("l_chunk must be >= 1")
     if len(tokens) == 0:
         raise EmptyInput("cannot chunk an empty token sequence")
-    out = []
-    for i, start in enumerate(range(0, len(tokens), l_chunk)):
-        out.append(Chunk(i + 1, list(tokens[start : start + l_chunk]), start))
-    return out
+    return [Chunk(list(tokens[s : s + l_chunk])) for s in range(0, len(tokens), l_chunk)]
 
 
 def _sentence_spans(body: Sequence[int], period_id: int | None) -> list[tuple[int, int]]:
@@ -229,16 +228,16 @@ def assemble_context(
     paper_set: PaperSet,
     key_k: int,
     period_id: int | None,
-    include_key_elements: bool = True,
 ) -> list[int]:
     """Flatten a paper set into the model context.
 
     Layout: BOS, then each selected key sentence wrapped in KEY_MARK tokens
-    (documents in order, sentences in source order), then the document bodies
-    separated by SEP_DOC, then SEP_SUM.  The summary is fed after SEP_SUM.
+    (documents in order, sentences in source order; none when key_k is 0),
+    then the document bodies separated by SEP_DOC, then SEP_SUM.  The summary
+    is fed after SEP_SUM.
     """
     ids = [BOS]
-    if include_key_elements and key_k > 0:
+    if key_k > 0:
         for doc in paper_set.docs:
             for s, e in extract_key_elements(doc, key_k, period_id):
                 ids.append(KEY_MARK)

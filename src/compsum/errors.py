@@ -26,6 +26,13 @@ class SchemaError(DataError):
         self.line_no = line_no
 
 
+class CheckpointError(SchemaError):
+    """A checkpoint file is malformed; a binary file has no line to name."""
+
+    def __init__(self, path: str, reason: str):
+        DataError.__init__(self, f"checkpoint '{path}': {reason}")
+
+
 class ConfigError(DataError):
     """A config key is unknown, unparseable, or out of range."""
 

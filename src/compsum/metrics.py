@@ -13,10 +13,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import EOS, Vocabulary, assemble_context, chunk
+from .corpus import EOS, Vocabulary, chunk
 from .errors import EmptyDataset
 from .ioutil import atomic_write_text
-from .model import AblationFlags, ModelParams, greedy_decode
+from .model import AblationFlags, ModelParams, greedy_decode, model_context
 
 # Fixed lexicon of comparative connectives used by the G-Score density term.
 CONNECTIVES = frozenset(
@@ -225,9 +225,7 @@ def evaluate_dataset(
     rows = []
     sums = [0.0, 0.0, 0.0, 0.0]
     for ps in dataset:
-        context = assemble_context(
-            ps, key_k, period_id, include_key_elements=not flags.disable_key_extraction
-        )
+        context = model_context(ps, key_k, period_id, flags)
         decoded = greedy_decode(params, chunk(context, l_chunk), max_len, flags)
         candidate = vocab.decode(decoded)
         ref_ids = ps.ref_summary[:-1] if ps.ref_summary[-1] == EOS else ps.ref_summary

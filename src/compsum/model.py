@@ -14,14 +14,15 @@ hand-written backward pass in :mod:`compsum.training` can replay them.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD, Chunk
-from .errors import DimensionMismatch, EmptyChunk, EmptyInput, SchemaError
+from .corpus import BOS, EOS, PAD, Chunk, PaperSet, assemble_context
+from .errors import CheckpointError, DimensionMismatch, EmptyChunk, EmptyInput
 from .ioutil import atomic_write_bytes
 
 TENSOR_NAMES = (
@@ -41,6 +42,16 @@ class AblationFlags:
     disable_memory: bool = False
     disable_key_extraction: bool = False
     disable_comparative: bool = False
+
+
+def model_context(
+    paper_set: PaperSet, key_k: int, period_id: int | None, flags: AblationFlags
+) -> list[int]:
+    """The context the model reads for a paper set: ``assemble_context`` with
+    no key sentences when key extraction is ablated."""
+    return assemble_context(
+        paper_set, 0 if flags.disable_key_extraction else key_k, period_id
+    )
 
 
 @dataclass
@@ -442,7 +453,7 @@ def sample_decode(
 # --- checkpoints -----------------------------------------------------------
 
 _MAGIC = b"CFG1"
-_VERSION = 1
+_VERSION = 2
 
 
 def _flag_bits(flags: AblationFlags) -> int:
@@ -459,19 +470,16 @@ def save_checkpoint(
     """Binary checkpoint: fixed header, then named float64 row-major tensors.
 
     Header: magic 'CFG1', version, d, V, l_chunk, ablation bitmask (all
-    little-endian uint32 after the magic).  Each tensor: name length, name
-    bytes, row count, then per row a column count and the row values.
+    little-endian uint32 after the magic).  Each tensor, in TENSOR_NAMES
+    order: name length, name bytes, then its little-endian float64 values;
+    ``tensor_shapes(d, V)`` fixes every shape.
     """
     parts = [struct.pack("<4s5I", _MAGIC, _VERSION, params.d, params.V, l_chunk, _flag_bits(flags))]
     for name in TENSOR_NAMES:
-        tensor = np.atleast_2d(params.tensors[name])
         raw = name.encode()
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
-        parts.append(struct.pack("<I", tensor.shape[0]))
-        for row in tensor:
-            parts.append(struct.pack("<I", row.shape[0]))
-            parts.append(row.astype("<f8").tobytes())
+        parts.append(params.tensors[name].astype("<f8").tobytes())
     atomic_write_bytes(path, b"".join(parts))
 
 
@@ -483,7 +491,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.data):
-            raise SchemaError(0, f"checkpoint '{self.path}' is truncated")
+            raise CheckpointError(self.path, "truncated")
         out = self.data[self.off : self.off + n]
         self.off += n
         return out
@@ -497,33 +505,24 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags]:
     with open(path, "rb") as fh:
         reader = _Reader(fh.read(), path)
     if reader.take(4) != _MAGIC:
-        raise SchemaError(0, f"checkpoint '{path}' has a bad magic number")
+        raise CheckpointError(path, "bad magic number")
     version, d, V, l_chunk, bits = (reader.u32() for _ in range(5))
     if version != _VERSION:
-        raise SchemaError(0, f"unsupported checkpoint version {version}")
+        raise CheckpointError(path, f"unsupported checkpoint version {version}")
     if d < 1 or V < 7 or l_chunk < 1:
-        raise SchemaError(0, f"bad checkpoint header d={d} V={V} l_chunk={l_chunk}")
+        raise CheckpointError(path, f"bad header d={d} V={V} l_chunk={l_chunk}")
     shapes = tensor_shapes(d, V)
     tensors: dict[str, np.ndarray] = {}
-    for expected in TENSOR_NAMES:
-        name = reader.take(reader.u32()).decode()
-        if name != expected:
-            raise SchemaError(0, f"expected tensor '{expected}', found '{name}'")
-        n_rows = reader.u32()
-        rows = []
-        for _ in range(n_rows):
-            n_cols = reader.u32()
-            rows.append(np.frombuffer(reader.take(8 * n_cols), dtype="<f8"))
-        tensor = np.array(rows)
-        want = shapes[name]
-        if tensor.shape != (want if len(want) == 2 else (1, want[0])):
-            raise SchemaError(0, f"tensor '{name}' has shape {tensor.shape}, want {want}")
-        if len(want) == 1:
-            tensor = tensor[0]
+    for name in TENSOR_NAMES:
+        found = reader.take(reader.u32())
+        if found != name.encode():
+            raise CheckpointError(path, f"expected tensor '{name}', found {found!r}")
+        raw = reader.take(8 * math.prod(shapes[name]))
+        tensor = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shapes[name])
         if not np.all(np.isfinite(tensor)):
-            raise SchemaError(0, f"tensor '{name}' contains non-finite values")
-        tensors[name] = tensor.copy()
+            raise CheckpointError(path, f"tensor '{name}' contains non-finite values")
+        tensors[name] = tensor
     if reader.off != len(reader.data):
-        raise SchemaError(0, f"checkpoint '{path}' has trailing bytes")
+        raise CheckpointError(path, "trailing bytes")
     flags = AblationFlags(bool(bits & 1), bool(bits & 2), bool(bits & 4))
     return ModelParams(d, V, tensors), l_chunk, flags

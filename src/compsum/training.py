@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import PAD, PaperSet, Vocabulary, assemble_context, chunk
+from .corpus import PAD, PaperSet, Vocabulary, chunk
 from .errors import (
-    ConfigError,
     EmptyCorpus,
     EmptyInput,
     EmptySet,
@@ -40,11 +39,13 @@ from .model import (
     ForwardTrace,
     MemoryUpdateTrace,
     ModelParams,
+    _chunk_layout,
     _encode_traced,
     _matvec_rows,
     _run_stream,
     forward,
     init_params,
+    model_context,
     softmax,
 )
 
@@ -56,27 +57,10 @@ Gradients = dict[str, np.ndarray]
 # --- loss values -----------------------------------------------------------
 
 
-@dataclass
-class LossBreakdown:
-    """Per-example loss report.  ``l_stage = l_gen + lam * l_comp`` in that
-    exact summation order; ``lam == 0`` makes l_stage bitwise equal l_gen."""
-
-    l_gen: float
-    l_comp: float
-    lam: float
-    l_stage: float
-    token_count: int
-
-
-def stage_loss(l_gen: float, l_comp: float, lam: float, token_count: int = 1) -> LossBreakdown:
-    """Combine the generation and contrastive terms at weight lam."""
-    l_stage = l_gen if lam == 0.0 else l_gen + lam * l_comp
-    return LossBreakdown(l_gen, l_comp, lam, l_stage, token_count)
-
-
-def total_loss(l_pretrain: float, l_comparative: float) -> float:
-    """Reporting aggregate over the two training stages."""
-    return l_pretrain + l_comparative
+def stage_loss(l_gen: float, l_comp: float, lam: float) -> float:
+    """``l_gen + lam * l_comp`` in that exact summation order; ``lam == 0``
+    returns l_gen bitwise, even when l_comp is not finite."""
+    return l_gen if lam == 0.0 else l_gen + lam * l_comp
 
 
 def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,6 +127,17 @@ def _lse(x: np.ndarray) -> float:
     return m + float(np.log(np.exp(x - m).sum()))
 
 
+def _similarities(
+    vecs: Sequence[np.ndarray], ref: np.ndarray, negatives: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Cosine similarity of each vector to ``ref`` (n,), and to each negative
+    (n, m), or None without negatives."""
+    sims = np.array([cosine_similarity(v, ref) for v in vecs])
+    if not negatives:
+        return sims, None
+    return sims, np.array([[cosine_similarity(v, neg) for neg in negatives] for v in vecs])
+
+
 def _contrastive_parts(
     sims: np.ndarray, neg_sims: np.ndarray | None
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
@@ -187,13 +182,7 @@ def comparative_loss(
     """
     if len(insight_vecs) == 0:
         raise EmptySet("contrastive loss needs at least one insight vector")
-    sims = np.array([cosine_similarity(v, ref_vec) for v in insight_vecs])
-    neg = None
-    if negative_refs:
-        neg = np.array(
-            [[cosine_similarity(v, nr) for nr in negative_refs] for v in insight_vecs]
-        )
-    return _contrastive_parts(sims, neg)[0]
+    return _contrastive_parts(*_similarities(insight_vecs, ref_vec, negative_refs))[0]
 
 
 # --- backward pass ---------------------------------------------------------
@@ -395,13 +384,9 @@ def _comparative_backward(
     ins = [_encode_traced(params, seq) for seq in insights]
     ref_trace, e_ref = _encode_traced(params, ref_tokens)
     negs = [_encode_traced(params, seq) for seq in negative_refs]
-    sims = np.array([cosine_similarity(e, e_ref) for _, e in ins])
-    neg_sims = None
-    if negs:
-        neg_sims = np.array(
-            [[cosine_similarity(e, en) for _, en in negs] for _, e in ins]
-        )
-    loss, dsims, dnegs = _contrastive_parts(sims, neg_sims)
+    loss, dsims, dnegs = _contrastive_parts(
+        *_similarities([e for _, e in ins], e_ref, [en for _, en in negs])
+    )
     d_ref = np.zeros(params.d)
     d_negs = [np.zeros(params.d) for _ in negs]
     for i, (trace, e) in enumerate(ins):
@@ -427,24 +412,24 @@ def _seed_encode_backward(
     _backward_stream(params, trace, grads, dh_seeds=np.tile(d_mean / S, (S, 1)))
 
 
-def backward(trace: ForwardTrace, params: ModelParams, loss_spec: LossSpec) -> Gradients:
-    """Exact gradients of the selected scalar loss for every parameter tensor.
-
-    The generation term is differentiated through the given trace, including
-    the paths through every memory update into previous-region hidden states;
-    the contrastive term re-runs its encoding passes internally.
-    """
+def _losses_and_grads(
+    trace: ForwardTrace, params: ModelParams, loss_spec: LossSpec
+) -> tuple[float, float, Gradients]:
+    """(l_gen, l_comp, gradients): the unweighted value of each loss term
+    (0.0 for a term the spec leaves out) and the exact gradients of the
+    spec's scalar loss."""
     _check_trace(trace, params)
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    grads = params.zeros_like()
+    l_gen = l_comp = 0.0
     if loss_spec.targets is not None:
-        _, dlogits, _ = _generation_loss_and_dlogits(
+        l_gen, dlogits, _ = _generation_loss_and_dlogits(
             trace.logits, np.asarray(loss_spec.targets)
         )
         _backward_stream(params, trace, grads, dlogits=loss_spec.scale * dlogits)
     if loss_spec.lam != 0.0 and loss_spec.insights is not None:
         if loss_spec.ref_tokens is None:
             raise EmptyInput("contrastive term needs reference tokens")
-        _comparative_backward(
+        l_comp = _comparative_backward(
             params,
             loss_spec.insights,
             loss_spec.ref_tokens,
@@ -452,7 +437,17 @@ def backward(trace: ForwardTrace, params: ModelParams, loss_spec: LossSpec) -> G
             loss_spec.scale * loss_spec.lam,
             grads,
         )
-    return grads
+    return l_gen, l_comp, grads
+
+
+def backward(trace: ForwardTrace, params: ModelParams, loss_spec: LossSpec) -> Gradients:
+    """Exact gradients of the selected scalar loss for every parameter tensor.
+
+    The generation term is differentiated through the given trace, including
+    the paths through every memory update into previous-region hidden states;
+    the contrastive term re-runs its encoding passes internally.
+    """
+    return _losses_and_grads(trace, params, loss_spec)[2]
 
 
 # --- finite-difference verification ---------------------------------------
@@ -516,7 +511,7 @@ class GradcheckProbe:
         vecs = [_encode_traced(params, seq)[1] for seq in self.insights]
         ref_vec = _encode_traced(params, self.targets)[1]
         l_comp = comparative_loss(vecs, ref_vec)
-        return stage_loss(l_gen, l_comp, self.lam, len(self.targets)).l_stage
+        return stage_loss(l_gen, l_comp, self.lam)
 
     def grads(self, params: ModelParams) -> Gradients:
         trace = forward(params, self.context_chunks, self.targets, self.flags)
@@ -559,11 +554,7 @@ class AdamState:
 
 
 def init_adam_state(params: ModelParams) -> AdamState:
-    return AdamState(
-        0,
-        {k: np.zeros_like(t) for k, t in params.tensors.items()},
-        {k: np.zeros_like(t) for k, t in params.tensors.items()},
-    )
+    return AdamState(0, params.zeros_like(), params.zeros_like())
 
 
 def clip_gradients(grads: Gradients, max_norm: float = 5.0) -> float:
@@ -612,7 +603,6 @@ def optimizer_step(
 class TrainConfig:
     """Hyperparameters shared by both training stages."""
 
-    stage: str = "pretrain"
     learning_rate: float = 0.005
     epochs: int = 3
     lam: float = 0.5
@@ -674,17 +664,6 @@ def _apply_step(
     optimizer_step(params, grads, state, config)
 
 
-def _uniform_spans(length: int, l_chunk: int) -> list[tuple[int, int]]:
-    return [(s, min(s + l_chunk, length)) for s in range(0, length, l_chunk)]
-
-
-def _context_of(ps: PaperSet, config: TrainConfig, period_id: int | None) -> list[int]:
-    return assemble_context(
-        ps, config.key_k, period_id,
-        include_key_elements=not config.flags.disable_key_extraction,
-    )
-
-
 def train_pretrain(
     corpus: Sequence[PaperSet],
     config: TrainConfig,
@@ -697,8 +676,6 @@ def train_pretrain(
     One Adam step per example, examples reshuffled each epoch from the config
     seed.  epochs=0 returns the (seeded or given) initialization unchanged.
     """
-    if config.stage != "pretrain":
-        raise ConfigError("stage", f"train_pretrain needs stage=pretrain, got '{config.stage}'")
     if len(corpus) == 0:
         raise EmptyCorpus("pretraining corpus is empty")
     params = init.copy() if init is not None else init_params(config.d, len(vocab), config.seed)
@@ -706,23 +683,21 @@ def train_pretrain(
     rng = np.random.default_rng(config.seed)
     period_id = vocab.id_of(".")
     memory_on = not config.flags.disable_memory
-    streams = [_context_of(ps, config, period_id) + ps.ref_summary for ps in corpus]
+    examples = []  # (input ids, region spans: one per chunk, loss spec) per stream
+    for ps in corpus:
+        stream = model_context(ps, config.key_k, period_id, config.flags) + ps.ref_summary
+        ids, spans = _chunk_layout(chunk(stream[:-1], config.l_chunk))
+        examples.append((ids, spans, LossSpec(targets=stream[1:])))
     step = 0
     for epoch in range(1, config.epochs + 1):
         epoch_mean = 0.0
-        for idx in rng.permutation(len(corpus)):
-            stream = streams[int(idx)]
-            inputs = stream[:-1]
-            targets = np.asarray(stream[1:])
-            trace = _run_stream(
-                params, inputs, _uniform_spans(len(inputs), config.l_chunk), memory_on, 0
-            )
-            l_gen, dlogits, _ = _generation_loss_and_dlogits(trace.logits, targets)
-            grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-            _backward_stream(params, trace, grads, dlogits=dlogits)
+        for i, idx in enumerate(rng.permutation(len(corpus)), start=1):
+            ids, spans, spec = examples[int(idx)]
+            trace = _run_stream(params, ids, spans, memory_on, 0)
+            l_gen, _, grads = _losses_and_grads(trace, params, spec)
             step += 1
             _apply_step(params, grads, state, config, "pretrain", step, l_gen)
-            epoch_mean += (l_gen - epoch_mean) / (step - (epoch - 1) * len(corpus))
+            epoch_mean += (l_gen - epoch_mean) / i
             if log_fn is not None:
                 log_fn(StepRecord(step, epoch, l_gen, 0.0, 0.0, l_gen))
         logger.info("pretrain epoch %d: mean loss %.6f nats/token", epoch, epoch_mean)
@@ -743,10 +718,6 @@ def train_comparative(
     the run exactly MLE fine-tuning.  Raises MissingInsights for an example
     with no non-empty insight while the weight is positive.
     """
-    if config.stage != "comparative":
-        raise ConfigError(
-            "stage", f"train_comparative needs stage=comparative, got '{config.stage}'"
-        )
     if len(dataset) == 0:
         raise EmptyCorpus("fine-tuning dataset is empty")
     lam = 0.0 if config.flags.disable_comparative else config.lam
@@ -754,47 +725,38 @@ def train_comparative(
     state = init_adam_state(params)
     rng = np.random.default_rng(config.seed)
     period_id = vocab.id_of(".")
-    contexts = [chunk(_context_of(ps, config, period_id), config.l_chunk) for ps in dataset]
+    contexts = [
+        chunk(model_context(ps, config.key_k, period_id, config.flags), config.l_chunk)
+        for ps in dataset
+    ]
     step = 0
     negative_pool: list[list[int]] = []
     for epoch in range(1, config.epochs + 1):
         epoch_mean = 0.0
-        epoch_steps = 0
-        for idx in rng.permutation(len(dataset)):
+        for i, idx in enumerate(rng.permutation(len(dataset)), start=1):
             ps = dataset[int(idx)]
             trace = forward(params, contexts[int(idx)], ps.ref_summary, config.flags)
-            targets = np.asarray(ps.ref_summary)
-            l_gen, dlogits, n_tok = _generation_loss_and_dlogits(trace.logits, targets)
-            grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-            _backward_stream(params, trace, grads, dlogits=dlogits)
-            l_comp = 0.0
+            spec = LossSpec(targets=ps.ref_summary)
             if lam != 0.0:
                 insights = [doc.insight for doc in ps.docs if doc.insight]
                 if not insights:
                     raise MissingInsights(
                         f"example '{ps.id}' has no non-empty insight but lambda > 0"
                     )
-                negatives = list(negative_pool)
-                l_comp = _comparative_backward(
-                    params, insights, ps.ref_summary, negatives, lam, grads
+                spec = LossSpec(
+                    targets=ps.ref_summary, lam=lam, insights=insights,
+                    ref_tokens=ps.ref_summary, negative_refs=list(negative_pool),
                 )
                 if config.in_batch_negatives > 0:
                     negative_pool.append(list(ps.ref_summary))
                     del negative_pool[: -config.in_batch_negatives]
-            breakdown = stage_loss(l_gen, l_comp, lam, n_tok)
+            l_gen, l_comp, grads = _losses_and_grads(trace, params, spec)
+            l_stage = stage_loss(l_gen, l_comp, lam)
             step += 1
-            epoch_steps += 1
-            _apply_step(params, grads, state, config, "comparative", step, breakdown.l_stage)
-            epoch_mean += (breakdown.l_stage - epoch_mean) / epoch_steps
+            _apply_step(params, grads, state, config, "comparative", step, l_stage)
+            epoch_mean += (l_stage - epoch_mean) / i
             if log_fn is not None:
-                log_fn(StepRecord(step, epoch, l_gen, l_comp, lam, breakdown.l_stage))
+                log_fn(StepRecord(step, epoch, l_gen, l_comp, lam, l_stage))
         logger.info("comparative epoch %d: mean stage loss %.6f", epoch, epoch_mean)
     return params
 
-
-def pretrain_config(config: TrainConfig) -> TrainConfig:
-    return replace(config, stage="pretrain")
-
-
-def comparative_config(config: TrainConfig) -> TrainConfig:
-    return replace(config, stage="comparative")

