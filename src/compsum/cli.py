@@ -35,6 +35,7 @@ from .model import (
     greedy_decode,
     load_checkpoint,
     model_context,
+    prefilled,
     sample_decode,
     save_checkpoint,
 )
@@ -261,13 +262,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out = _require_path(config, "report")
     period_id = vocab.id_of(SENTENCE_DELIMITER)
     lines = []
-    for ps in dataset:
-        chunks = chunk(model_context(ps, config.key_k, period_id, flags), ck_l_chunk)
+    contexts = (
+        chunk(model_context(ps, config.key_k, period_id, flags), ck_l_chunk) for ps in dataset
+    )
+    for ps, (chunks, start) in zip(dataset, prefilled(params, contexts, flags)):
         if config.temperature == 0.0:
-            ids = greedy_decode(params, chunks, config.max_len, flags)
+            ids = greedy_decode(params, chunks, config.max_len, flags, start=start)
         else:
             ids = sample_decode(
-                params, chunks, config.max_len, config.temperature, config.seed, flags
+                params, chunks, config.max_len, config.temperature, config.seed, flags,
+                start=start,
             )
         lines.append(json.dumps({"id": ps.id, "summary": " ".join(vocab.decode(ids))}))
     atomic_write_text(out, "\n".join(lines) + ("\n" if lines else ""))

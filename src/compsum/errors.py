@@ -82,5 +82,9 @@ class NonFiniteTraining(InvariantError):
     """A training step produced a non-finite loss or gradient norm."""
 
 
+class NonFiniteCheckpoint(InvariantError):
+    """Parameters to be saved hold a non-finite value; no file is written."""
+
+
 class StaleTrace(InvariantError):
     """A cached forward trace does not match the parameters it is paired with."""

@@ -16,7 +16,7 @@ from typing import Sequence
 from .corpus import EOS, Vocabulary, chunk
 from .errors import EmptyDataset
 from .ioutil import atomic_write_text
-from .model import AblationFlags, ModelParams, greedy_decode, model_context
+from .model import AblationFlags, ModelParams, greedy_decode, model_context, prefilled
 
 # Fixed lexicon of comparative connectives used by the G-Score density term.
 CONNECTIVES = frozenset(
@@ -57,19 +57,22 @@ def rouge_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> Score
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length by dynamic programming."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Longest common subsequence length, one row of the LCS table per
+    token of ``a`` (Allison-Dix / Hyyro bit-vector recurrence).
+
+    Bit j of ``v`` is 1 where the table row does not step up at column j, so
+    the LCS is the number of zero bits; a row costs a few big-int operations
+    instead of one Python step per column.
+    """
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        row = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                row.append(prev[j - 1] + 1)
-            else:
-                row.append(max(prev[j], row[j - 1]))
-        prev = row
-    return prev[len(b)]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> ScoreTriple:
@@ -215,8 +218,10 @@ def evaluate_dataset(
     """Greedy-decode a summary for every example and score it against the
     reference summary (ROUGE) and the insight units (G-Score).
 
-    Aggregates are arithmetic means in dataset order, so reports are
-    deterministic for a fixed checkpoint and dataset.
+    The contexts are prefilled in blocks (``model.prefilled``), each block's
+    examples decoded before the next block runs.  Aggregates are arithmetic
+    means in dataset order, so reports are deterministic for a fixed
+    checkpoint and dataset.
     """
     if len(dataset) == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
@@ -224,9 +229,9 @@ def evaluate_dataset(
     period_id = vocab.id_of(SENTENCE_DELIMITER)
     rows = []
     sums = [0.0, 0.0, 0.0, 0.0]
-    for ps in dataset:
-        context = model_context(ps, key_k, period_id, flags)
-        decoded = greedy_decode(params, chunk(context, l_chunk), max_len, flags)
+    contexts = (chunk(model_context(ps, key_k, period_id, flags), l_chunk) for ps in dataset)
+    for ps, (chunks, start) in zip(dataset, prefilled(params, contexts, flags)):
+        decoded = greedy_decode(params, chunks, max_len, flags, start=start)
         candidate = vocab.decode(decoded)
         ref_ids = ps.ref_summary[:-1] if ps.ref_summary[-1] == EOS else ps.ref_summary
         reference = vocab.decode(ref_ids)

@@ -14,15 +14,17 @@ hand-written backward pass in :mod:`compsum.training` can replay them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .corpus import BOS, EOS, PAD, Chunk, PaperSet, assemble_context
 from .errors import CheckpointError, DimensionMismatch, EmptyChunk, EmptyInput
+from .errors import NonFiniteCheckpoint
 from .ioutil import atomic_write_bytes
 
 TENSOR_NAMES = (
@@ -127,42 +129,43 @@ class _GatedCell:
     for many positions at once, and the step along the hidden-state chain.
 
     Each gate keeps its own matrix-vector products, so every position gets
-    bit for bit the values of evaluating the cell on its own.  One product
-    with the gate matrices stacked would not: with OpenBLAS it rounds some
-    rows differently whenever d >= 9 is not a multiple of 4, because the
-    stacked rows fall into other blocks of the kernel.
+    bit for bit the values of evaluating the cell on its own.  The gate
+    matrices are stacked as a batch (g, d, d), whose products numpy takes
+    one matrix at a time.  Stacked as one (g*d, d) matrix they would not
+    be: with OpenBLAS that rounds some rows differently whenever d >= 9 is
+    not a multiple of 4, because the stacked rows fall into other blocks of
+    the kernel.
     """
 
     def __init__(self, params: ModelParams):
         t = params.tensors
         self.d = params.d
-        self.W = (t["W_z"], t["W_r"], t["W_h"])
-        self.U_z, self.U_r, self.U_h = t["U_z"], t["U_r"], t["U_h"]
+        self.W = np.array((t["W_z"], t["W_r"], t["W_h"]))
+        self.U_zr = np.array((t["U_z"], t["U_r"]))
+        self.U_h = t["U_h"]
         self.b_zr = np.concatenate([t["b_z"], t["b_r"]])
         self.b_h = t["b_h"]
 
     def project(self, xs: np.ndarray) -> np.ndarray:
         """Rows [W_z x; W_r x; W_h x] (n, 3d) for the rows x of xs (n, d)."""
-        d = self.d
-        out = np.empty((len(xs), 3 * d))
-        for g, W in enumerate(self.W):
-            out[:, g * d : (g + 1) * d] = _matvec_rows(W, xs)
-        return out
+        return np.matmul(self.W, xs[:, None, :, None]).reshape(len(xs), 3 * self.d)
 
     def step(
         self, h_prev: np.ndarray, xw: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One cell step from a projected input; returns (h, [z; r], h~)."""
+        """One cell step from projected inputs; returns (h, [z; r], h~).
+
+        ``h_prev`` is one hidden state (d,) or a batch (n, d) with its rows
+        ``xw`` (n, 3d); every row rounds as it would on its own.
+        """
         d = self.d
-        a = np.empty(2 * d)
-        np.matmul(self.U_z, h_prev, out=a[:d])
-        np.matmul(self.U_r, h_prev, out=a[d:])
-        a += xw[: 2 * d]  # (W x + U h) + b, the cell's order of additions
+        a = np.matmul(self.U_zr, h_prev[..., None, :, None]).reshape(xw.shape[:-1] + (2 * d,))
+        a += xw[..., : 2 * d]  # (W x + U h) + b, the cell's order of additions
         a += self.b_zr
         zr = sigmoid(a)
-        z, r = zr[:d], zr[d:]
-        c = self.U_h @ (r * h_prev)
-        c += xw[2 * d :]
+        z, r = zr[..., :d], zr[..., d:]
+        c = (self.U_h @ (r * h_prev)[..., None])[..., 0]
+        c += xw[..., 2 * d :]
         c += self.b_h
         h_cand = np.tanh(c)
         h = (1.0 - z) * h_prev + z * h_cand
@@ -211,27 +214,31 @@ def memory_update(
     alpha = softmax(q . k / sqrt(d)); a = sum_j alpha_j v_j;
     g = sigmoid(W_g [mem_prev; a] + b_g); mem = (1 - g) * mem_prev + g * a.
     """
-    return _memory_update_traced(params, (0, 0), mem_prev, hiddens).mem_new
-
-
-def _memory_update_traced(
-    params: ModelParams,
-    span: tuple[int, int],
-    mem_prev: np.ndarray,
-    hiddens: np.ndarray,
-) -> MemoryUpdateTrace:
     if hiddens.ndim != 2 or hiddens.shape[0] == 0:
         raise EmptyChunk("memory update needs at least one hidden state")
+    return _attend(params, mem_prev, hiddens)[-1]
+
+
+def _attend(
+    params: ModelParams, mem_prev: np.ndarray, hiddens: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The memory update's (q, ks, vs, alpha, attended, gate, mem_new) for one
+    memory (d,) and region (m, d), or for a batch (B, d) of memories and
+    regions (B, m, d) of one length m.
+
+    Products of a vector take the per-row form, which rounds like ``M @ v``;
+    the region products are one GEMM per region in either shape.
+    """
     t = params.tensors
-    d = params.d
-    q = t["W_q"] @ mem_prev
+    q = np.matmul(t["W_q"], mem_prev[..., None])[..., 0]
     ks = hiddens @ t["W_k"].T
     vs = hiddens @ t["W_v"].T
-    alpha = softmax(ks @ q / np.sqrt(d))
-    attended = alpha @ vs
-    gate = sigmoid(t["W_g"] @ np.concatenate([mem_prev, attended]) + t["b_g"])
+    alpha = softmax(np.matmul(ks, q[..., None])[..., 0] / np.sqrt(params.d))
+    attended = np.matmul(alpha[..., None, :], vs)[..., 0, :]
+    both = np.concatenate([mem_prev, attended], axis=-1)
+    gate = sigmoid(np.matmul(t["W_g"], both[..., None])[..., 0] + t["b_g"])
     mem_new = (1.0 - gate) * mem_prev + gate * attended
-    return MemoryUpdateTrace(span, mem_prev, q, ks, vs, alpha, attended, gate, mem_new)
+    return q, ks, vs, alpha, attended, gate, mem_new
 
 
 @dataclass
@@ -259,6 +266,12 @@ class ForwardTrace:
     memory_enabled: bool
 
 
+def _check_token_ids(ids: np.ndarray, V: int) -> None:
+    out_of_range = (ids < 0) | (ids >= V)
+    if out_of_range.any():
+        raise DimensionMismatch(f"token id {ids[out_of_range][0]} out of range (V={V})")
+
+
 def _run_stream(
     params: ModelParams,
     input_ids: Sequence[int],
@@ -284,10 +297,7 @@ def _run_stream(
         prev_end = end
     d, V = params.d, params.V
     ids = np.asarray(input_ids)
-    out_of_range = (ids < 0) | (ids >= V)
-    if out_of_range.any():
-        tok = ids[int(np.argmax(out_of_range))]
-        raise DimensionMismatch(f"token id {tok} out of range (V={V})")
+    _check_token_ids(ids, V)
     t = params.tensors
     cell = _GatedCell(params)
     xs = t["E"][ids]
@@ -308,7 +318,7 @@ def _run_stream(
             h, zrs[p], h_cands[p] = cell.step(h, x_proj)
             hs[p] = h
         if memory_on and end < S:
-            update = _memory_update_traced(params, (start, end), mem, hs[start:end])
+            update = MemoryUpdateTrace((start, end), mem, *_attend(params, mem, hs[start:end]))
             updates.append(update)
             mem = update.mem_new
     n_logits = S - logits_start
@@ -378,25 +388,98 @@ def _encode_traced(
 # --- decoding --------------------------------------------------------------
 
 
+# Contexts per batched prefill when a dataset is decoded.  A block holds its
+# contexts' layouts, hidden states and memories, (PREFILL_BLOCK, d), and the
+# hidden states of its longest region.  Evaluating the `evaluate` benchmark's
+# 500 held-out contexts (about 100 tokens each, d = 32, l_chunk = 16) raised
+# peak RSS over per-context prefills by 0.13 MB with blocks of 16 or 32,
+# 0.67 MB with 64 and 10.3 MB with all 500 at once; 32 was as fast as 64.
+PREFILL_BLOCK = 32
+
+
+def prefill(
+    params: ModelParams,
+    contexts: Sequence[Sequence[Chunk]],
+    flags: AblationFlags | None = None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Run each context's chunks and fold its last chunk into the memory:
+    the (h, mem) that decoding starts from, one pair per context, in order.
+
+    The contexts run as one recurrence over a batch of rows, longest first,
+    so the rows still running at a position are a prefix of the batch.  The
+    memory updates of rows that end a region at the same position are
+    batched by region length.  Every product is taken row by row, so each
+    context gets bit for bit the state of a pass over it alone.
+    """
+    memory_on = flags is None or not flags.disable_memory
+    layouts = [_chunk_layout(c) for c in contexts]
+    B, d = len(layouts), params.d
+    order = sorted(range(B), key=lambda i: -len(layouts[i][0]))
+    lengths = [len(layouts[i][0]) for i in order]
+    ids = np.zeros((B, lengths[0] if B else 0), dtype=np.intp)
+    # ends[p][m]: the rows whose region of length m ends at position p
+    ends: dict[int, dict[int, list[int]]] = {}
+    for row, i in enumerate(order):
+        tokens, spans = layouts[i]
+        ids[row, : len(tokens)] = tokens
+        for start, end in spans:
+            ends.setdefault(end - 1, {}).setdefault(end - start, []).append(row)
+    _check_token_ids(ids, params.V)
+    t = params.tensors
+    cell = _GatedCell(params)
+    h = np.zeros((B, d))
+    mem = np.zeros((B, d))
+    longest_region = max((m for by_len in ends.values() for m in by_len), default=0)
+    region_hs = np.empty((B, longest_region if memory_on else 0, d))
+    region_start = np.zeros(B, dtype=np.intp)
+    all_rows = np.arange(B)
+    n = B
+    for p in range(ids.shape[1]):
+        while lengths[n - 1] <= p:
+            n -= 1
+        x = t["E"][ids[:n, p]]
+        if memory_on:
+            x += mem[:n]
+        h[:n] = cell.step(h[:n], cell.project(x))[0]
+        if memory_on:
+            region_hs[all_rows[:n], p - region_start[:n]] = h[:n]
+            for m, rows in ends.get(p, {}).items():
+                mem[rows] = _attend(params, mem[rows], region_hs[rows, :m])[-1]
+                region_start[rows] = p + 1
+    row_of = np.empty(B, dtype=np.intp)
+    row_of[order] = all_rows
+    return [(h[row], mem[row]) for row in row_of]
+
+
+def prefilled(
+    params: ModelParams,
+    contexts: Iterable[Sequence[Chunk]],
+    flags: AblationFlags | None = None,
+) -> Iterator[tuple[Sequence[Chunk], tuple[np.ndarray, np.ndarray]]]:
+    """Each context with its decoding start, ``prefill``-ed PREFILL_BLOCK
+    contexts at a time as the caller asks for them."""
+    it = iter(contexts)
+    while block := list(itertools.islice(it, PREFILL_BLOCK)):
+        yield from zip(block, prefill(params, block, flags))
+
+
 def _decode(
     params: ModelParams,
     context_chunks: Sequence[Chunk],
     max_len: int,
     flags: AblationFlags | None,
     pick: Callable[[np.ndarray], int],
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[int]:
     if max_len < 1:
         raise EmptyInput("max_len must be >= 1")
     memory_on = flags is None or not flags.disable_memory
-    context, spans = _chunk_layout(context_chunks)
+    # The generated summary forms the region after the context, so decoding
+    # starts from the memory with the last context chunk folded in.
+    h, mem = prefill(params, [context_chunks], flags)[0] if start is None else start
+    if h.shape != (params.d,) or mem.shape != (params.d,):
+        raise DimensionMismatch(f"decoding start must be two ({params.d},) vectors")
     t = params.tensors
-    prefill = _run_stream(params, context, spans, memory_on, len(context))
-    h = prefill.hs[-1]
-    mem = prefill.region_mems[-1]
-    if memory_on:
-        # The generated summary forms the next region, so the last context
-        # chunk is folded into the memory too.
-        mem = memory_update(params, mem, prefill.hs[spans[-1][0] :])
     cell = _GatedCell(params)
     out: list[int] = []
     while len(out) < max_len:
@@ -417,11 +500,15 @@ def greedy_decode(
     context_chunks: Sequence[Chunk],
     max_len: int,
     flags: AblationFlags | None = None,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[int]:
     """Argmax decoding; ties resolve to the lowest token id.  Stops at EOS
     (excluded from the output) or after max_len tokens.  Never emits PAD or
-    BOS."""
-    return _decode(params, context_chunks, max_len, flags, lambda lg: int(np.argmax(lg)))
+    BOS.  ``start``, the context's pair from ``prefill``, skips running the
+    context again."""
+    return _decode(
+        params, context_chunks, max_len, flags, lambda lg: int(np.argmax(lg)), start
+    )
 
 
 def sample_decode(
@@ -431,8 +518,10 @@ def sample_decode(
     temperature: float,
     seed: int,
     flags: AblationFlags | None = None,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[int]:
-    """Temperature sampling from softmax(logits / temperature), seeded.
+    """Temperature sampling from softmax(logits / temperature), seeded;
+    ``start`` as for ``greedy_decode``.
 
     The logits are shifted to a maximum of 0 before the division, so a
     temperature too small for the quotients to stay finite samples the
@@ -447,7 +536,7 @@ def sample_decode(
             scaled = (logits - logits.max()) / temperature
         return int(rng.choice(params.V, p=softmax(scaled)))
 
-    return _decode(params, context_chunks, max_len, flags, pick)
+    return _decode(params, context_chunks, max_len, flags, pick, start)
 
 
 # --- checkpoints -----------------------------------------------------------
@@ -472,8 +561,15 @@ def save_checkpoint(
     Header: magic 'CFG1', version, d, V, l_chunk, ablation bitmask (all
     little-endian uint32 after the magic).  Each tensor, in TENSOR_NAMES
     order: name length, name bytes, then its little-endian float64 values;
-    ``tensor_shapes(d, V)`` fixes every shape.
+    ``tensor_shapes(d, V)`` fixes every shape.  Non-finite values raise
+    ``NonFiniteCheckpoint`` before anything is written, since
+    ``load_checkpoint`` would reject the file.
     """
+    for name in TENSOR_NAMES:
+        if not np.all(np.isfinite(params.tensors[name])):
+            raise NonFiniteCheckpoint(
+                f"checkpoint '{path}' not written: tensor '{name}' holds non-finite values"
+            )
     parts = [struct.pack("<4s5I", _MAGIC, _VERSION, params.d, params.V, l_chunk, _flag_bits(flags))]
     for name in TENSOR_NAMES:
         raw = name.encode()

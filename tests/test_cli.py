@@ -10,6 +10,7 @@ from dataclasses import fields
 import pytest
 
 import compsum
+from compsum import cli
 from compsum.cli import _CONFIG_KEYS, GRADCHECK_TOLERANCE, RunConfig, load_config, run
 from compsum.errors import ConfigError
 from compsum.model import load_checkpoint
@@ -310,6 +311,26 @@ class TestSubcommands:
         cfg = write_config(root, "mismatch.cfg", data=paths["data"],
                            vocab=str(other_vocab), checkpoint_in=paths["ckpt"])
         assert invoke(["evaluate", "--config", cfg])[0] == 2
+
+    def test_non_finite_parameters_write_no_checkpoint(self, workspace, monkeypatch):
+        root, paths = workspace
+        real = cli.train_pretrain
+
+        def diverged(*args, **kwargs):
+            params = real(*args, **kwargs)
+            params.tensors["b_g"][0] = float("nan")
+            return params
+
+        monkeypatch.setattr(cli, "train_pretrain", diverged)
+        out_ckpt = root / "diverged.ckpt"
+        cfg = write_config(root, "diverged.cfg", stage="pretrain", data=paths["data"],
+                           vocab=paths["vocab"], checkpoint_out=str(out_ckpt), d="8",
+                           epochs="1", lr="0.01")
+        code, out, err = invoke(["train", "--config", cfg])
+        assert code == 3
+        assert out == ""
+        assert "tensor 'b_g'" in err and "not written" in err
+        assert not out_ckpt.exists()
 
     def test_invalid_config_value(self, workspace):
         root, _ = workspace

@@ -43,6 +43,17 @@ def brute_force_lcs(a, b):
     return 0
 
 
+def dp_lcs(a, b):
+    """Longest common subsequence by the row-by-row dynamic programme."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        row = [0]
+        for j, y in enumerate(b, start=1):
+            row.append(prev[j - 1] + 1 if x == y else max(prev[j], row[j - 1]))
+        prev = row
+    return prev[len(b)]
+
+
 class TestRougeN:
     CAND = "the cat sat".split()
     REF = "the cat sat on the mat".split()
@@ -123,6 +134,17 @@ class TestRougeL:
             a = [letters[i] for i in rng.integers(0, 4, size=rng.integers(0, 9))]
             b = [letters[i] for i in rng.integers(0, 4, size=rng.integers(0, 9))]
             assert lcs_length(a, b) == brute_force_lcs(a, b)
+
+    def test_matches_dynamic_programme(self):
+        # Long pairs, past 64 bits of the bit-vector, with repeated tokens.
+        rng = np.random.default_rng(11)
+        for vocab_size in (1, 2, 5, 40):
+            words = [f"w{i}" for i in range(vocab_size)]
+            for _ in range(40):
+                a = [words[i] for i in rng.integers(0, vocab_size, size=rng.integers(0, 90))]
+                b = [words[i] for i in rng.integers(0, vocab_size, size=rng.integers(0, 90))]
+                assert lcs_length(a, b) == dp_lcs(a, b)
+                assert lcs_length(b, a) == dp_lcs(a, b)
 
     def test_subsequence_not_substring(self):
         assert lcs_length("a x b y c".split(), "a b c".split()) == 3

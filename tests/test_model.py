@@ -8,7 +8,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from compsum.corpus import BOS, EOS, PAD, Chunk, chunk
-from compsum.errors import DimensionMismatch, EmptyChunk, EmptyInput, SchemaError
+from compsum.errors import (
+    DimensionMismatch,
+    EmptyChunk,
+    EmptyInput,
+    NonFiniteCheckpoint,
+    SchemaError,
+)
 from compsum.model import (
     AblationFlags,
     ModelParams,
@@ -393,9 +399,22 @@ class TestCheckpoint:
         self._corrupt(tmp_path, mutate)
 
     def test_non_finite_tensor_rejected(self, tmp_path):
-        params = init_params(4, 11, 6)
-        params.tensors["W_o"][0, 0] = np.inf
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, params, 5, AblationFlags())
-        with pytest.raises(SchemaError):
-            load_checkpoint(path)
+        def mutate(d):
+            # name length 3, 'W_o', then its first value
+            at = bytes(d).index(struct.pack("<I", 3) + b"W_o") + 7
+            d[at : at + 8] = struct.pack("<d", np.inf)
+            return d
+        self._corrupt(tmp_path, mutate)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_tensor_not_saved(self, tmp_path, value):
+        path, params = self._save(tmp_path)
+        before = open(path, "rb").read()
+        params.tensors["W_o"][0, 0] = value
+        with pytest.raises(NonFiniteCheckpoint, match="tensor 'W_o'"):
+            save_checkpoint(path, params, 5, AblationFlags())
+        assert open(path, "rb").read() == before
+        fresh = tmp_path / "fresh.ckpt"
+        with pytest.raises(NonFiniteCheckpoint):
+            save_checkpoint(str(fresh), params, 5, AblationFlags())
+        assert not fresh.exists()

@@ -1,0 +1,179 @@
+"""The batched prefill against the position-by-position oracle in
+``token_loop_oracle.py``: every context's hidden state and memory, every
+decoded token and every evaluation report must be bitwise equal to running
+the contexts one at a time."""
+
+import numpy as np
+import pytest
+
+import token_loop_oracle as oracle
+from compsum import metrics, model
+from compsum.corpus import (
+    BOS,
+    EOS,
+    Chunk,
+    build_vocab,
+    chunk,
+    dataset_token_streams,
+    generate_synthetic_corpus,
+    load_dataset,
+    write_dataset,
+)
+from compsum.errors import DimensionMismatch, EmptyChunk, EmptyInput
+from compsum.model import AblationFlags, greedy_decode, init_params, prefill, sample_decode
+
+DIMS = (1, 6, 10, 32)
+CHUNK_SIZES = (1, 4, 16, None)  # None: the whole context in one chunk
+# 1-token contexts, contexts shorter than every chunk size but the first,
+# equal lengths and lengths that cross several chunks.
+LENGTHS = (1, 2, 3, 5, 17, 30, 1, 29, 40, 16, 9, 30)
+V = 23
+ATTEND_FIELDS = ("q", "ks", "vs", "alpha", "attended", "gate", "mem_new")
+
+
+def _params(d, seed=0):
+    return init_params(d, V, seed, scale=0.6)
+
+
+def _flags(memory_on):
+    return AblationFlags(disable_memory=not memory_on)
+
+
+def _context(rng, n):
+    return [BOS] + [int(t) for t in rng.integers(7, V, size=n - 1)]
+
+
+def _contexts(l_chunk, seed=1, lengths=LENGTHS):
+    rng = np.random.default_rng(seed)
+    return [chunk(c, l_chunk or len(c)) for c in (_context(rng, n) for n in lengths)]
+
+
+def _uneven_contexts(seed=2):
+    """Hand-made layouts whose chunks are of mixed, unaligned lengths."""
+    rng = np.random.default_rng(seed)
+    layouts = ((1,), (3, 1, 2), (2, 7), (5, 5, 1, 4), (1, 1, 1), (9,), (4, 2, 6, 3, 1))
+    return [
+        [Chunk([int(t) for t in rng.integers(7, V, size=m)]) for m in sizes]
+        for sizes in layouts
+    ]
+
+
+def _oracle_start(params, chunks, memory_on):
+    """(h, mem) after running the context and folding its last chunk, one
+    position at a time."""
+    ids, spans = model._chunk_layout(chunks)
+    trace = oracle.run_stream(params, ids, spans, memory_on, len(ids))
+    mem = trace.region_mems[-1]
+    if memory_on:
+        last = spans[-1]
+        mem = oracle.memory_update(params, last, mem, trace.hs[last[0] :]).mem_new
+    return trace.hs[-1], mem
+
+
+def _assert_starts_equal(params, contexts, memory_on, got):
+    assert len(got) == len(contexts)
+    for chunks, (h, mem) in zip(contexts, got):
+        want_h, want_mem = _oracle_start(params, chunks, memory_on)
+        assert np.array_equal(h, want_h)
+        assert np.array_equal(mem, want_mem)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("memory_on", [True, False])
+@pytest.mark.parametrize("l_chunk", CHUNK_SIZES)
+def test_prefill_equals_oracle(d, memory_on, l_chunk):
+    params = _params(d)
+    contexts = _contexts(l_chunk)
+    _assert_starts_equal(params, contexts, memory_on, prefill(params, contexts, _flags(memory_on)))
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("memory_on", [True, False])
+def test_prefill_unaligned_layouts(d, memory_on):
+    params = _params(d, 3)
+    contexts = _uneven_contexts() + _contexts(4, seed=4, lengths=(6, 11))
+    _assert_starts_equal(params, contexts, memory_on, prefill(params, contexts, _flags(memory_on)))
+
+
+@pytest.mark.parametrize("memory_on", [True, False])
+def test_prefilled_spans_several_blocks(memory_on, monkeypatch):
+    params = _params(6, 5)
+    contexts = _contexts(4, seed=6) + _uneven_contexts(7) + _contexts(None, seed=8)
+    monkeypatch.setattr(model, "PREFILL_BLOCK", 5)
+    blocks = []
+    real = model.prefill
+    monkeypatch.setattr(model, "prefill", lambda p, c, f: blocks.append(len(c)) or real(p, c, f))
+    pairs = list(model.prefilled(params, iter(contexts), _flags(memory_on)))
+    assert blocks == [5] * (len(contexts) // 5) + [len(contexts) % 5]
+    assert [c for c, _ in pairs] == contexts
+    _assert_starts_equal(params, contexts, memory_on, [s for _, s in pairs])
+
+
+def test_prefill_edge_cases():
+    params = _params(4)
+    assert prefill(params, []) == []
+    assert list(model.prefilled(params, [])) == []
+    with pytest.raises(EmptyInput):
+        prefill(params, [chunk([BOS, 7], 2), []])
+    with pytest.raises(EmptyChunk):
+        prefill(params, [[Chunk([7]), Chunk([])]])
+    with pytest.raises(DimensionMismatch):
+        prefill(params, [chunk([BOS, 7], 2), chunk([BOS, V], 2)])
+
+
+@pytest.mark.parametrize("d", (1, 10, 32))
+@pytest.mark.parametrize("m", (1, 2, 3, 7, 16, 33))
+def test_batched_memory_update_equals_single_calls(d, m):
+    params = _params(d, m)
+    rng = np.random.default_rng(d + m)
+    mems = rng.normal(size=(9, d))
+    regions = rng.normal(size=(9, m, d))
+    batched = model._attend(params, mems, regions)
+    for i in range(9):
+        single = model._attend(params, mems[i], regions[i])
+        want = oracle.memory_update(params, (0, m), mems[i], regions[i])
+        for name, rows, row in zip(ATTEND_FIELDS, batched, single):
+            assert np.array_equal(rows[i], getattr(want, name)), name
+            assert np.array_equal(row, getattr(want, name)), name
+        assert np.array_equal(model.memory_update(params, mems[i], regions[i]), want.mem_new)
+
+
+@pytest.mark.parametrize("d", DIMS)
+@pytest.mark.parametrize("memory_on", [True, False])
+def test_decoding_with_and_without_start(d, memory_on):
+    params = _params(d, 9)
+    params.tensors["b_o"][EOS] = -3.0  # decode for a while before EOS
+    flags = _flags(memory_on)
+    contexts = _contexts(4, seed=10) + _uneven_contexts(11)
+    for chunks, start in zip(contexts, prefill(params, contexts, flags)):
+        want = oracle.decode(params, chunks, 12, flags, lambda lg: int(np.argmax(lg)))
+        assert greedy_decode(params, chunks, 12, flags) == want
+        assert greedy_decode(params, chunks, 12, flags, start=start) == want
+        sampled = sample_decode(params, chunks, 12, 0.7, 5, flags)
+        assert sample_decode(params, chunks, 12, 0.7, 5, flags, start=start) == sampled
+
+
+def test_decoding_start_shape_checked():
+    params = _params(4)
+    with pytest.raises(DimensionMismatch):
+        greedy_decode(params, chunk([BOS, 7], 2), 3, start=(np.zeros(4), np.zeros(5)))
+
+
+@pytest.mark.parametrize("memory_on", [True, False])
+@pytest.mark.parametrize("l_chunk", (4, 16))
+def test_evaluate_dataset_equals_per_example_oracle(tmp_path, monkeypatch, memory_on, l_chunk):
+    path = str(tmp_path / "data.jsonl")
+    write_dataset(path, generate_synthetic_corpus(21, 11, (2, 3)))
+    vocab = build_vocab(dataset_token_streams(path))
+    dataset = load_dataset(path, vocab)
+    params = init_params(8, len(vocab), 2, scale=0.3)
+    flags = _flags(memory_on)
+    monkeypatch.setattr(model, "PREFILL_BLOCK", 4)  # three blocks
+    got = metrics.evaluate_dataset(params, dataset, vocab, l_chunk, 20, flags=flags)
+
+    def per_example(params, chunks, max_len, flags, start=None):
+        return oracle.decode(params, chunks, max_len, flags, lambda lg: int(np.argmax(lg)))
+
+    monkeypatch.setattr(metrics, "greedy_decode", per_example)
+    want = metrics.evaluate_dataset(params, dataset, vocab, l_chunk, 20, flags=flags)
+    assert got.to_lines() == want.to_lines()
