@@ -2,9 +2,9 @@
 
 Subcommands: synth, build-vocab, train, generate, evaluate, gradcheck, and
 pipeline (synth -> vocab -> pretrain -> comparative -> evaluate).  Exit codes:
-0 success, 1 usage error, 2 bad data or config, 3 violated internal
-invariant.  All file outputs are written atomically, so a failed run never
-leaves a partial file behind.
+0 success, 1 usage error, 2 bad data or config (or a model too large to
+allocate), 3 violated internal invariant.  All file outputs are written
+atomically, so a failed run never leaves a partial file behind.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .corpus import (
     write_dataset,
 )
 from .errors import ConfigError, Error, InvariantError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, utf8_lines
 from .metrics import SENTENCE_DELIMITER, evaluate_dataset, write_report
 from .model import (
     AblationFlags,
@@ -151,20 +151,19 @@ def load_config(path: str) -> RunConfig:
     """Parse a key=value config file; later duplicates win; unknown keys and
     out-of-range values are rejected with the offending key named."""
     config = RunConfig()
-    with open(path, encoding="utf-8") as fh:
-        for raw_line in fh:
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(line, "expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(key, "unknown key")
-            attr, parse = _CONFIG_KEYS[key]
-            setattr(config, attr, parse(key, raw))
+    for raw_line in utf8_lines(path):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(line, "expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(key, "unknown key")
+        attr, parse = _CONFIG_KEYS[key]
+        setattr(config, attr, parse(key, raw))
     return _validate(config)
 
 
@@ -347,7 +346,7 @@ def pipeline_end_to_end(config: RunConfig) -> int:
         summary["total_loss"] = l_pretrain + l_comparative
         print(json.dumps(summary))
         return 0
-    except (Error, OSError) as exc:
+    except (Error, OSError, MemoryError) as exc:
         exc.pipeline_stage = label
         raise
 
@@ -397,10 +396,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         # checkpoint loads, config values), so numpy's warnings are noise.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)
-    except (Error, OSError) as exc:
+    except (Error, OSError, MemoryError) as exc:
         stage = getattr(exc, "pipeline_stage", None)
         where = f"pipeline stage '{stage}': " if stage else ""
-        print(f"error: {where}{exc}", file=sys.stderr)
+        what = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+        print(f"error: {where}{what}", file=sys.stderr)
         return 3 if isinstance(exc, InvariantError) else 2
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, SchemaError
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, utf8_lines
 
 # Reserved ids are pinned so checkpoints and encoded datasets stay
 # interchangeable across runs.
@@ -99,8 +99,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = "".join(utf8_lines(path)).splitlines()
         if not lines or not lines[0].startswith("v1 "):
             raise SchemaError(1, "vocabulary header must be 'v1 <size>'")
         try:
@@ -301,27 +300,29 @@ def _require(record: dict, field: str, kind: type, line_no: int):
 
 def _read_records(path: str) -> list[tuple[int, dict]]:
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(line_no, f"invalid json: {exc.msg}") from None
-            if not isinstance(record, dict):
-                raise SchemaError(line_no, "record must be a json object")
-            _require(record, "id", str, line_no)
-            papers = _require(record, "papers", list, line_no)
-            if not papers:
-                raise SchemaError(line_no, "papers array is empty")
-            for p in papers:
-                if not isinstance(p, dict):
-                    raise SchemaError(line_no, "papers entries must be objects")
-                for field in ("id", "title", "text", "insight"):
-                    _require(p, field, str, line_no)
-            _require(record, "ref_summary", str, line_no)
-            out.append((line_no, record))
+    for line_no, line in enumerate(utf8_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(line_no, f"invalid json: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            # too deeply nested, or an integer of too many digits
+            raise SchemaError(line_no, f"invalid json: {exc}") from None
+        if not isinstance(record, dict):
+            raise SchemaError(line_no, "record must be a json object")
+        _require(record, "id", str, line_no)
+        papers = _require(record, "papers", list, line_no)
+        if not papers:
+            raise SchemaError(line_no, "papers array is empty")
+        for p in papers:
+            if not isinstance(p, dict):
+                raise SchemaError(line_no, "papers entries must be objects")
+            for field in ("id", "title", "text", "insight"):
+                _require(p, field, str, line_no)
+        _require(record, "ref_summary", str, line_no)
+        out.append((line_no, record))
     return out
 
 

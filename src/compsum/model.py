@@ -96,7 +96,11 @@ def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
         raise DimensionMismatch(f"bad model size d={d}, V={V}")
     rng = np.random.default_rng(seed)
     shapes = tensor_shapes(d, V)
-    tensors = {name: rng.uniform(-scale, scale, shapes[name]) for name in TENSOR_NAMES}
+    try:
+        tensors = {name: rng.uniform(-scale, scale, shapes[name]) for name in TENSOR_NAMES}
+    except ValueError:
+        # numpy refuses shapes whose byte count overflows its index type
+        raise MemoryError(f"model of d={d}, V={V} is too large to allocate") from None
     return ModelParams(d, V, tensors)
 
 
@@ -344,6 +348,21 @@ def _chunk_layout(context_chunks: Sequence[Chunk]) -> tuple[list[int], list[tupl
     return ids, spans
 
 
+def _teacher_forced_layout(
+    context_chunks: Sequence[Chunk], target: Sequence[int]
+) -> tuple[list[int], list[tuple[int, int]], int]:
+    """(stream, region spans, first logit position) of a teacher-forced pass:
+    the stream is context + target[:-1], and the target forms one final
+    region of its own."""
+    if len(target) == 0:
+        raise EmptyInput("target must be non-empty")
+    context, spans = _chunk_layout(context_chunks)
+    stream = context + list(target[:-1])
+    if len(target) > 1:
+        spans.append((len(context), len(stream)))
+    return stream, spans, len(context) - 1
+
+
 def forward(
     params: ModelParams,
     context_chunks: Sequence[Chunk],
@@ -358,14 +377,9 @@ def forward(
     last context chunk exactly once at the context/target boundary and stays
     fixed while the target is processed.
     """
-    if len(target) == 0:
-        raise EmptyInput("target must be non-empty")
-    context, spans = _chunk_layout(context_chunks)
-    stream = context + list(target[:-1])
-    if len(target) > 1:
-        spans.append((len(context), len(stream)))
+    stream, spans, logits_start = _teacher_forced_layout(context_chunks, target)
     memory_on = flags is None or not flags.disable_memory
-    return _run_stream(params, stream, spans, memory_on, len(context) - 1)
+    return _run_stream(params, stream, spans, memory_on, logits_start)
 
 
 def encode_sequence(params: ModelParams, tokens: Sequence[int]) -> np.ndarray:

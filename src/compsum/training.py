@@ -9,9 +9,10 @@ forward traces and are verified against central finite differences by
 
 Stage one (``train_pretrain``) is next-token MLE over the flattened
 context+summary stream; stage two (``train_comparative``) teacher-forces the
-summary given the context and adds the contrastive term.  Both stages run one
-example per optimizer step, which keeps training bitwise reproducible from
-(seed, config, data).
+summary given the context and adds the contrastive term.  Each stage lays
+its examples out once and hands them to one loop, ``_train``; the stages
+differ only in their examples' ``LossSpec``.  One example per optimizer step
+keeps training bitwise reproducible from (seed, config, data).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .model import (
     _encode_traced,
     _matvec_rows,
     _run_stream,
+    _teacher_forced_layout,
     forward,
     init_params,
     model_context,
@@ -127,62 +129,29 @@ def _lse(x: np.ndarray) -> float:
     return m + float(np.log(np.exp(x - m).sum()))
 
 
-def _similarities(
-    vecs: Sequence[np.ndarray], ref: np.ndarray, negatives: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Cosine similarity of each vector to ``ref`` (n,), and to each negative
-    (n, m), or None without negatives."""
-    sims = np.array([cosine_similarity(v, ref) for v in vecs])
-    if not negatives:
-        return sims, None
-    return sims, np.array([[cosine_similarity(v, neg) for neg in negatives] for v in vecs])
+def _contrastive_parts(vecs: Sequence[np.ndarray], ref: np.ndarray) -> tuple[float, np.ndarray]:
+    """Loss and its gradient w.r.t. the similarities s_i = cos(vecs[i], ref).
 
-
-def _contrastive_parts(
-    sims: np.ndarray, neg_sims: np.ndarray | None
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Loss and gradients w.r.t. the similarity values.
-
-    Without negatives: L = n * logsumexp(sims) - sum(sims), the softmax
-    cross-entropy where each insight is scored against all insights of the
-    same example; dL/dsims = n * softmax(sims) - 1.  With an (n, m) matrix of
-    extra negative similarities, row i extends the denominator of term i.
+    L = n * logsumexp(s) - sum(s), the softmax cross-entropy where each
+    insight is scored against all insights of the same example;
+    dL/ds = n * softmax(s) - 1.
     """
+    sims = np.array([cosine_similarity(v, ref) for v in vecs])
     n = len(sims)
-    if neg_sims is None or neg_sims.size == 0:
-        loss = n * _lse(sims) - float(sims.sum())
-        dsims = n * softmax(sims) - 1.0
-        return loss, dsims, None
-    loss = 0.0
-    dsims = np.zeros(n)
-    dnegs = np.zeros_like(neg_sims)
-    for i in range(n):
-        ext = np.concatenate([sims, neg_sims[i]])
-        loss += _lse(ext) - float(sims[i])
-        p = softmax(ext)
-        dsims += p[:n]
-        dnegs[i] = p[n:]
-    dsims -= 1.0
-    return loss, dsims, dnegs
+    return n * _lse(sims) - float(sims.sum()), n * softmax(sims) - 1.0
 
 
-def comparative_loss(
-    insight_vecs: Sequence[np.ndarray],
-    ref_vec: np.ndarray,
-    negative_refs: Sequence[np.ndarray] = (),
-) -> float:
+def comparative_loss(insight_vecs: Sequence[np.ndarray], ref_vec: np.ndarray) -> float:
     """Contrastive loss over cosine similarities of each insight encoding to
     the reference-summary encoding.
 
     L = -sum_i log(exp(s_i) / sum_j exp(s_j)), s_i = cos(C_i, ref);
     log-sum-exp is max-stabilized.  n = 1 gives exactly 0; for fixed n the
     minimum n*ln(n) is attained iff all similarities are equal.
-    ``negative_refs`` optionally adds encodings of other examples' reference
-    summaries to every denominator.
     """
     if len(insight_vecs) == 0:
         raise EmptySet("contrastive loss needs at least one insight vector")
-    return _contrastive_parts(*_similarities(insight_vecs, ref_vec, negative_refs))[0]
+    return _contrastive_parts(insight_vecs, ref_vec)[0]
 
 
 # --- backward pass ---------------------------------------------------------
@@ -202,7 +171,6 @@ class LossSpec:
     lam: float = 0.0
     insights: Sequence[Sequence[int]] | None = None
     ref_tokens: Sequence[int] | None = None
-    negative_refs: Sequence[Sequence[int]] = ()
     scale: float = 1.0
 
 
@@ -372,7 +340,6 @@ def _comparative_backward(
     params: ModelParams,
     insights: Sequence[Sequence[int]],
     ref_tokens: Sequence[int],
-    negative_refs: Sequence[Sequence[int]],
     weight: float,
     grads: Gradients,
 ) -> float:
@@ -383,24 +350,13 @@ def _comparative_backward(
         raise EmptySet("contrastive loss needs at least one insight sequence")
     ins = [_encode_traced(params, seq) for seq in insights]
     ref_trace, e_ref = _encode_traced(params, ref_tokens)
-    negs = [_encode_traced(params, seq) for seq in negative_refs]
-    loss, dsims, dnegs = _contrastive_parts(
-        *_similarities([e for _, e in ins], e_ref, [en for _, en in negs])
-    )
+    loss, dsims = _contrastive_parts([e for _, e in ins], e_ref)
     d_ref = np.zeros(params.d)
-    d_negs = [np.zeros(params.d) for _ in negs]
-    for i, (trace, e) in enumerate(ins):
-        de, db = _cosine_backward(e, e_ref, float(dsims[i]))
+    for (trace, e), ds in zip(ins, dsims):
+        de, db = _cosine_backward(e, e_ref, float(ds))
         d_ref += db
-        if dnegs is not None:
-            for j, (_, en) in enumerate(negs):
-                da, dn = _cosine_backward(e, en, float(dnegs[i, j]))
-                de += da
-                d_negs[j] += dn
         _seed_encode_backward(params, trace, weight * de, grads)
     _seed_encode_backward(params, ref_trace, weight * d_ref, grads)
-    for (trace, _), dn in zip(negs, d_negs):
-        _seed_encode_backward(params, trace, weight * dn, grads)
     return loss
 
 
@@ -433,7 +389,6 @@ def _losses_and_grads(
             params,
             loss_spec.insights,
             loss_spec.ref_tokens,
-            loss_spec.negative_refs,
             loss_spec.scale * loss_spec.lam,
             grads,
         )
@@ -543,6 +498,10 @@ def gradcheck_probe(seed: int = 0) -> GradcheckProbe:
 
 # --- optimizer -------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -574,14 +533,15 @@ def clip_gradients(grads: Gradients, max_norm: float = 5.0) -> float:
 def optimizer_step(
     params: ModelParams, grads: Gradients, opt_state: AdamState, config: "TrainConfig"
 ) -> None:
-    """One Adam update in place; increments the step counter by 1."""
+    """One Adam update at ``config.learning_rate`` in place; increments the
+    step counter by 1."""
     for name, tensor in params.tensors.items():
         if name not in grads or grads[name].shape != tensor.shape:
             got = grads[name].shape if name in grads else None
             raise ShapeMismatch(f"gradient for '{name}' has shape {got}, want {tensor.shape}")
     opt_state.step += 1
     t = opt_state.step
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**t
     bias2 = 1.0 - b2**t
     for name, g in grads.items():
@@ -592,7 +552,7 @@ def optimizer_step(
         v *= b2
         v += (1.0 - b2) * (g * g)
         params.tensors[name] -= config.learning_rate * (m / bias1) / (
-            np.sqrt(v / bias2) + config.adam_eps
+            np.sqrt(v / bias2) + ADAM_EPS
         )
 
 
@@ -609,15 +569,9 @@ class TrainConfig:
     l_chunk: int = 16
     d: int = 32
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     key_k: int = 2
     flags: AblationFlags = field(default_factory=AblationFlags)
     clip_norm: float = 5.0
-    # Extra contrastive negatives drawn from other examples' reference
-    # summaries (a rolling window of this many); 0 disables the variant.
-    in_batch_negatives: int = 0
 
 
 @dataclass
@@ -643,25 +597,49 @@ class StepRecord:
 
 
 LogFn = Callable[[StepRecord], None]
+# (input ids, region spans, first logit position, loss spec): one example of
+# a stage, laid out once and replayed every epoch.
+Example = tuple[list[int], list[tuple[int, int]], int, LossSpec]
 
 
-def _apply_step(
+def _train(
     params: ModelParams,
-    grads: Gradients,
-    state: AdamState,
+    examples: Sequence[Example],
     config: TrainConfig,
     stage: str,
-    step: int,
-    loss: float,
-) -> None:
-    norm = clip_gradients(grads, config.clip_norm)
-    if not (math.isfinite(loss) and math.isfinite(norm)):
-        raise NonFiniteTraining(
-            f"{stage} step {step}: loss {loss}, gradient norm {norm} (not finite)"
-        )
-    if norm > config.clip_norm:
-        logger.info("step %d: clipped gradient norm %.3f -> %.1f", step, norm, config.clip_norm)
-    optimizer_step(params, grads, state, config)
+    lam: float,
+    log_fn: LogFn | None,
+) -> ModelParams:
+    """Train ``params`` in place on the examples, one clipped Adam step per
+    example, reshuffled each epoch from the config seed; both stages run
+    here and differ only in their examples' loss specs and ``lam``."""
+    state = init_adam_state(params)
+    rng = np.random.default_rng(config.seed)
+    memory_on = not config.flags.disable_memory
+    step = 0
+    for epoch in range(1, config.epochs + 1):
+        epoch_mean = 0.0
+        for i, idx in enumerate(rng.permutation(len(examples)), start=1):
+            ids, spans, logits_start, spec = examples[int(idx)]
+            trace = _run_stream(params, ids, spans, memory_on, logits_start)
+            l_gen, l_comp, grads = _losses_and_grads(trace, params, spec)
+            l_stage = stage_loss(l_gen, l_comp, lam)
+            step += 1
+            norm = clip_gradients(grads, config.clip_norm)
+            if not (math.isfinite(l_stage) and math.isfinite(norm)):
+                raise NonFiniteTraining(
+                    f"{stage} step {step}: loss {l_stage}, gradient norm {norm} (not finite)"
+                )
+            if norm > config.clip_norm:
+                logger.info(
+                    "step %d: clipped gradient norm %.3f -> %.1f", step, norm, config.clip_norm
+                )
+            optimizer_step(params, grads, state, config)
+            epoch_mean += (l_stage - epoch_mean) / i
+            if log_fn is not None:
+                log_fn(StepRecord(step, epoch, l_gen, l_comp, lam, l_stage))
+        logger.info("%s epoch %d: mean stage loss %.6f", stage, epoch, epoch_mean)
+    return params
 
 
 def train_pretrain(
@@ -673,35 +651,18 @@ def train_pretrain(
 ) -> ModelParams:
     """Stage one: next-token MLE over each flattened context+summary stream.
 
-    One Adam step per example, examples reshuffled each epoch from the config
-    seed.  epochs=0 returns the (seeded or given) initialization unchanged.
+    epochs=0 returns the (seeded or given) initialization unchanged.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("pretraining corpus is empty")
     params = init.copy() if init is not None else init_params(config.d, len(vocab), config.seed)
-    state = init_adam_state(params)
-    rng = np.random.default_rng(config.seed)
     period_id = vocab.id_of(".")
-    memory_on = not config.flags.disable_memory
-    examples = []  # (input ids, region spans: one per chunk, loss spec) per stream
+    examples = []
     for ps in corpus:
         stream = model_context(ps, config.key_k, period_id, config.flags) + ps.ref_summary
         ids, spans = _chunk_layout(chunk(stream[:-1], config.l_chunk))
-        examples.append((ids, spans, LossSpec(targets=stream[1:])))
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        epoch_mean = 0.0
-        for i, idx in enumerate(rng.permutation(len(corpus)), start=1):
-            ids, spans, spec = examples[int(idx)]
-            trace = _run_stream(params, ids, spans, memory_on, 0)
-            l_gen, _, grads = _losses_and_grads(trace, params, spec)
-            step += 1
-            _apply_step(params, grads, state, config, "pretrain", step, l_gen)
-            epoch_mean += (l_gen - epoch_mean) / i
-            if log_fn is not None:
-                log_fn(StepRecord(step, epoch, l_gen, 0.0, 0.0, l_gen))
-        logger.info("pretrain epoch %d: mean loss %.6f nats/token", epoch, epoch_mean)
-    return params
+        examples.append((ids, spans, 0, LossSpec(targets=stream[1:])))
+    return _train(params, examples, config, "pretrain", 0.0, log_fn)
 
 
 def train_comparative(
@@ -712,7 +673,7 @@ def train_comparative(
     log_fn: LogFn | None = None,
 ) -> ModelParams:
     """Stage two: teacher-forced summary cross-entropy plus the weighted
-    contrastive term, one Adam step per example.
+    contrastive term.
 
     ``flags.disable_comparative`` forces the effective weight to zero, making
     the run exactly MLE fine-tuning.  Raises MissingInsights for an example
@@ -721,42 +682,19 @@ def train_comparative(
     if len(dataset) == 0:
         raise EmptyCorpus("fine-tuning dataset is empty")
     lam = 0.0 if config.flags.disable_comparative else config.lam
-    params = init.copy()
-    state = init_adam_state(params)
-    rng = np.random.default_rng(config.seed)
     period_id = vocab.id_of(".")
-    contexts = [
-        chunk(model_context(ps, config.key_k, period_id, config.flags), config.l_chunk)
-        for ps in dataset
-    ]
-    step = 0
-    negative_pool: list[list[int]] = []
-    for epoch in range(1, config.epochs + 1):
-        epoch_mean = 0.0
-        for i, idx in enumerate(rng.permutation(len(dataset)), start=1):
-            ps = dataset[int(idx)]
-            trace = forward(params, contexts[int(idx)], ps.ref_summary, config.flags)
-            spec = LossSpec(targets=ps.ref_summary)
-            if lam != 0.0:
-                insights = [doc.insight for doc in ps.docs if doc.insight]
-                if not insights:
-                    raise MissingInsights(
-                        f"example '{ps.id}' has no non-empty insight but lambda > 0"
-                    )
-                spec = LossSpec(
-                    targets=ps.ref_summary, lam=lam, insights=insights,
-                    ref_tokens=ps.ref_summary, negative_refs=list(negative_pool),
+    examples = []
+    for ps in dataset:
+        context = chunk(model_context(ps, config.key_k, period_id, config.flags), config.l_chunk)
+        spec = LossSpec(targets=ps.ref_summary)
+        if lam != 0.0:
+            insights = [doc.insight for doc in ps.docs if doc.insight]
+            if not insights:
+                raise MissingInsights(
+                    f"example '{ps.id}' has no non-empty insight but lambda > 0"
                 )
-                if config.in_batch_negatives > 0:
-                    negative_pool.append(list(ps.ref_summary))
-                    del negative_pool[: -config.in_batch_negatives]
-            l_gen, l_comp, grads = _losses_and_grads(trace, params, spec)
-            l_stage = stage_loss(l_gen, l_comp, lam)
-            step += 1
-            _apply_step(params, grads, state, config, "comparative", step, l_stage)
-            epoch_mean += (l_stage - epoch_mean) / i
-            if log_fn is not None:
-                log_fn(StepRecord(step, epoch, l_gen, l_comp, lam, l_stage))
-        logger.info("comparative epoch %d: mean stage loss %.6f", epoch, epoch_mean)
-    return params
-
+            spec = LossSpec(
+                targets=ps.ref_summary, lam=lam, insights=insights, ref_tokens=ps.ref_summary
+            )
+        examples.append((*_teacher_forced_layout(context, ps.ref_summary), spec))
+    return _train(init.copy(), examples, config, "comparative", lam, log_fn)

@@ -332,6 +332,43 @@ class TestSubcommands:
         assert "tensor 'b_g'" in err and "not written" in err
         assert not out_ckpt.exists()
 
+    def test_invalid_utf8_config(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"d=8\n\xff\xfe=1\n")
+        code, _, err = invoke(["pipeline", "--config", str(cfg)])
+        assert code == 2
+        assert err == f"error: '{cfg}' line 2: invalid UTF-8\n"
+
+    def test_invalid_utf8_dataset(self, workspace, tmp_path):
+        root, paths = workspace
+        lines = open(paths["data"], "rb").read().splitlines()
+        data = tmp_path / "bad.jsonl"
+        data.write_bytes(b"\n".join(lines[:2] + [lines[2].replace(b"a", b"\xc3", 1)]))
+        cfg = write_config(root, "badutf8data.cfg", data=str(data), vocab=paths["vocab"])
+        code, _, err = invoke(["build-vocab", "--config", cfg])
+        assert code == 2
+        assert err == f"error: '{data}' line 3: invalid UTF-8\n"
+
+    def test_invalid_utf8_vocabulary(self, workspace, tmp_path):
+        root, paths = workspace
+        vocab = tmp_path / "bad_vocab.txt"
+        vocab.write_bytes(open(paths["vocab"], "rb").read() + b"\xff\n")
+        cfg = write_config(root, "badutf8vocab.cfg", data=paths["data"], vocab=str(vocab),
+                           checkpoint_in=paths["ckpt"])
+        code, _, err = invoke(["evaluate", "--config", cfg])
+        n_lines = len(open(paths["vocab"], "rb").read().splitlines())
+        assert code == 2
+        assert err == f"error: '{vocab}' line {n_lines + 1}: invalid UTF-8\n"
+
+    def test_deeply_nested_dataset_line(self, workspace, tmp_path):
+        root, paths = workspace
+        data = tmp_path / "deep.jsonl"
+        data.write_text(open(paths["data"], encoding="utf-8").readline() + "[" * 200_000 + "\n")
+        cfg = write_config(root, "deep.cfg", data=str(data), vocab=paths["vocab"])
+        code, _, err = invoke(["build-vocab", "--config", cfg])
+        assert code == 2
+        assert err.startswith("error: line 2: invalid json: maximum recursion depth")
+
     def test_invalid_config_value(self, workspace):
         root, _ = workspace
         cfg = write_config(root, "badval.cfg", lr="0")
@@ -386,6 +423,17 @@ class TestPipeline:
         assert caught == []
         assert len(err.splitlines()) == 1
         assert err.startswith("error: pipeline stage 'pretrain': pretrain step 2")
+
+
+    @pytest.mark.parametrize("d", ["1000000000000000", "100000000000000000"])
+    def test_unallocatable_model_size_exits_2(self, tmp_path, d):
+        # Both sizes exceed any address space, so no allocation can succeed:
+        # the first is refused by malloc, the second by numpy's size check.
+        code, out, err = invoke(["pipeline", "--config", self._config(tmp_path, d=d)])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: pipeline stage 'pretrain': out of memory: ")
 
 
 class TestExports:

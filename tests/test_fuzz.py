@@ -1,0 +1,180 @@
+"""Property tests of the four loaders of outside bytes: config files,
+dataset JSONL, vocabulary files and checkpoints.
+
+Each input is a small valid file, cut short, bit-flipped, or given invalid
+UTF-8, deep nesting or huge header sizes and counts.  Every input must load
+or raise ``compsum.Error`` or ``OSError``, the exceptions ``cli.run`` maps to
+exit codes 2 and 3; anything else would end the program in a traceback.
+The examples are derandomized, so every run tries the same inputs.
+"""
+
+import math
+import struct
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from compsum import Error
+from compsum.cli import load_config
+from compsum.corpus import (
+    Vocabulary,
+    build_vocab,
+    dataset_token_streams,
+    generate_synthetic_corpus,
+    load_dataset,
+    write_dataset,
+)
+from compsum.model import (
+    TENSOR_NAMES,
+    AblationFlags,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+    tensor_shapes,
+)
+
+FUZZ = settings(
+    max_examples=100,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+INVALID_UTF8 = (
+    b"\xff",  # never valid
+    b"\xc3",  # lead byte without its continuation
+    b"\x80",  # continuation byte without a lead
+    b"\xc0\xaf",  # overlong encoding of '/'
+    b"\xed\xa0\x80",  # surrogate half
+    b"\xf4\x90\x80\x80",  # above U+10FFFF
+)
+U32_EDGES = (0, 1, 7, 2**16, 2**31 - 1, 2**31, 2**32 - 1)
+
+
+def _flip(data: bytes, flips) -> bytes:
+    out = bytearray(data)
+    for index, bit in flips:
+        out[index] ^= 1 << bit
+    return bytes(out)
+
+
+def mutations(valid: bytes, inserts=()):
+    """Truncations, bit flips and insertions of ``valid``; half of the
+    insertions go to the start of a line."""
+    n = len(valid)
+    line_starts = [0] + [i + 1 for i, byte in enumerate(valid) if byte == ord("\n")]
+    cut = st.integers(0, n - 1).map(lambda k: valid[:k])
+    flipped = st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, 7)), min_size=1, max_size=4
+    ).map(lambda flips: _flip(valid, flips))
+    where = st.one_of(st.sampled_from(line_starts), st.integers(0, n))
+    inserted = st.tuples(where, st.sampled_from(INVALID_UTF8 + tuple(inserts))).map(
+        lambda a: valid[: a[0]] + a[1] + valid[a[0]:]
+    )
+    return st.one_of(cut, flipped, inserted)
+
+
+def loads_or_refuses(load, directory, data: bytes) -> None:
+    path = directory / "fuzzed"
+    path.write_bytes(data)
+    try:
+        load(str(path))
+    except (Error, OSError):
+        pass
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "data.jsonl"
+    write_dataset(str(data), generate_synthetic_corpus(3, 2))
+    vocab = build_vocab(dataset_token_streams(str(data)))
+    vocab.save(str(root / "vocab.txt"))
+    save_checkpoint(str(root / "model.ckpt"), init_params(2, 9, 0), 4, AblationFlags())
+    return root, vocab
+
+
+@pytest.fixture(scope="module")
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzzed")
+
+
+CONFIG = (
+    b"# a run\nstage=comparative\nd=8\nlr=0.01\nlambda=0.5\n\n"
+    b"disable_memory=true\ndata=train.jsonl\ntau=0.25\n"
+)
+
+
+@FUZZ
+@given(data=mutations(CONFIG, (b"d=" + b"9" * 5000 + b"\n", b"lr=1e999\n", b"tau=nan\n", b"=")))
+def test_load_config(work_dir, data):
+    loads_or_refuses(load_config, work_dir, data)
+
+
+@FUZZ
+@given(mutated=st.data())
+def test_load_dataset(valid_files, work_dir, mutated):
+    root, vocab = valid_files
+    valid = (root / "data.jsonl").read_bytes()
+    lines = valid.splitlines()
+    hostile = (
+        b"[" * 200_000,
+        b'{"id": ' * 100_000,
+        b'{"id": ' + b"1" * 5000 + b"}",  # past Python's digit limit for int()
+        b"{}",
+        b"",
+    )
+
+    def replace_line(at):
+        index, line = at
+        return b"\n".join(lines[:index] + [line] + lines[index + 1:])
+
+    data = mutated.draw(st.one_of(
+        mutations(valid, (b"\n", b'"', b"[" * 200_000)),
+        st.tuples(st.integers(0, len(lines) - 1), st.sampled_from(hostile)).map(replace_line),
+    ))
+    loads_or_refuses(lambda path: load_dataset(path, vocab), work_dir, data)
+
+
+@FUZZ
+@given(mutated=st.data())
+def test_vocabulary_load(valid_files, work_dir, mutated):
+    root, _ = valid_files
+    valid = (root / "vocab.txt").read_bytes()
+    body = valid.split(b"\n", 1)[1]
+    sizes = st.sampled_from([b"-1", b"0", b"2147483648", b"18446744073709551616", b"9" * 5000])
+    data = mutated.draw(st.one_of(
+        mutations(valid, (b"\r", b"\x1c", b"\n\n")),
+        sizes.map(lambda size: b"v1 " + size + b"\n" + body),
+    ))
+    loads_or_refuses(Vocabulary.load, work_dir, data)
+
+
+def _u32_offsets(d: int, V: int) -> list[int]:
+    """Offsets of the header's uint32 values and of every tensor's name length."""
+    offsets = [4, 8, 12, 16, 20]
+    at = 24
+    shapes = tensor_shapes(d, V)
+    for name in TENSOR_NAMES:
+        offsets.append(at)
+        at += 4 + len(name) + 8 * math.prod(shapes[name])
+    return offsets
+
+
+@FUZZ
+@given(mutated=st.data())
+def test_load_checkpoint(valid_files, work_dir, mutated):
+    root, _ = valid_files
+    valid = (root / "model.ckpt").read_bytes()
+
+    def overwrite(spot):
+        offset, value = spot
+        return valid[:offset] + struct.pack("<I", value) + valid[offset + 4:]
+
+    data = mutated.draw(st.one_of(
+        mutations(valid),
+        st.tuples(st.sampled_from(_u32_offsets(2, 9)), st.sampled_from(U32_EDGES)).map(overwrite),
+    ))
+    loads_or_refuses(load_checkpoint, work_dir, data)

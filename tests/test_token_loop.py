@@ -26,8 +26,7 @@ def _example(d, seed, V=23):
     context = [BOS] + [int(t) for t in rng.integers(7, V, size=29)]
     target = [int(t) for t in rng.integers(7, V, size=9)] + [EOS]
     insights = [[int(t) for t in rng.integers(7, V, size=n)] for n in (5, 3, 6)]
-    negatives = [[int(t) for t in rng.integers(7, V, size=n)] for n in (4, 7)]
-    return params, context, target, insights, negatives
+    return params, context, target, insights
 
 
 def _chunks(context, l_chunk):
@@ -80,7 +79,7 @@ class TestActivationAndSum:
 @pytest.mark.parametrize("l_chunk", CHUNK_SIZES)
 class TestStreamPasses:
     def test_forward_trace(self, d, memory_on, l_chunk):
-        params, context, target, _, _ = _example(d, 1)
+        params, context, target, _ = _example(d, 1)
         trace = forward(params, _chunks(context, l_chunk), target, _flags(memory_on))
         ref = oracle.run_stream(
             params, trace.input_ids, trace.region_spans, memory_on, trace.logits_start
@@ -97,7 +96,7 @@ class TestStreamPasses:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_generation_gradients(self, d, memory_on, l_chunk):
-        params, context, target, _, _ = _example(d, 2)
+        params, context, target, _ = _example(d, 2)
         trace = forward(params, _chunks(context, l_chunk), target, _flags(memory_on))
         _, dlogits, _ = training._generation_loss_and_dlogits(trace.logits, np.asarray(target))
         # Non-zero accumulators: the new terms must be added to them in order.
@@ -111,12 +110,11 @@ class TestStreamPasses:
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("memory_on", [True, False])
 def test_generation_and_contrastive_gradients(d, memory_on, monkeypatch):
-    """The public backward with both loss terms and in-batch negatives, once
-    as it is and once with the oracle's passes patched in."""
-    params, context, target, insights, negatives = _example(d, 4)
+    """The public backward with both loss terms, once as it is and once with
+    the oracle's passes patched in."""
+    params, context, target, insights = _example(d, 4)
     chunks = _chunks(context, 4)
-    spec = LossSpec(targets=target, lam=0.7, insights=insights, ref_tokens=target,
-                    negative_refs=negatives, scale=1.3)
+    spec = LossSpec(targets=target, lam=0.7, insights=insights, ref_tokens=target, scale=1.3)
     got = backward(forward(params, chunks, target, _flags(memory_on)), params, spec)
     monkeypatch.setattr(model, "_run_stream", oracle.run_stream)
     monkeypatch.setattr(training, "_backward_stream", oracle.backward_stream)
@@ -128,7 +126,7 @@ def test_generation_and_contrastive_gradients(d, memory_on, monkeypatch):
 @pytest.mark.parametrize("memory_on", [True, False])
 @pytest.mark.parametrize("l_chunk", CHUNK_SIZES)
 def test_greedy_decode(d, memory_on, l_chunk):
-    params, context, _, _, _ = _example(d, 5)
+    params, context, _, _ = _example(d, 5)
     params.tensors["b_o"][EOS] = -3.0  # decode for a while before stopping
     chunks = _chunks(context, l_chunk)
     seen: dict[str, list[np.ndarray]] = {"new": [], "oracle": []}
