@@ -13,8 +13,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence, get_type_hints
+from dataclasses import dataclass, fields, is_dataclass
+from functools import reduce
+from typing import Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -29,9 +30,8 @@ from .corpus import (
 )
 from .errors import ConfigError, Error, InvariantError
 from .ioutil import atomic_write_text, utf8_lines
-from .metrics import SENTENCE_DELIMITER, evaluate_dataset, write_report
+from .metrics import evaluate_dataset, write_report
 from .model import (
-    AblationFlags,
     greedy_decode,
     load_checkpoint,
     model_context,
@@ -52,8 +52,9 @@ GRADCHECK_TOLERANCE = 1e-4
 
 
 @dataclass
-class RunConfig:
-    """Everything a run needs, parsed from the config file.
+class RunConfig(TrainConfig):
+    """Everything a run needs, parsed from the config file: the training
+    settings it inherits from ``TrainConfig`` plus the run's own.
 
     Path fields default to empty strings; each subcommand validates the paths
     it actually requires.
@@ -65,39 +66,12 @@ class RunConfig:
     checkpoint_in: str = ""
     checkpoint_out: str = ""
     report: str = ""
-    d: int = 32
-    l_chunk: int = 16
-    lr: float = 0.005
-    epochs: int = 3
-    lam: float = 0.5
-    seed: int = 0
-    key_k: int = 2
     max_len: int = 48
     temperature: float = 0.0
     tau: float = 0.5
     min_freq: int = 1
-    disable_memory: bool = False
-    disable_key_extraction: bool = False
-    disable_comparative: bool = False
     synth_count: int = 100
     synth_seed: int = 0
-
-    def flags(self) -> AblationFlags:
-        return AblationFlags(
-            self.disable_memory, self.disable_key_extraction, self.disable_comparative
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.lr,
-            epochs=self.epochs,
-            lam=self.lam,
-            l_chunk=self.l_chunk,
-            d=self.d,
-            seed=self.seed,
-            key_k=self.key_k,
-            flags=self.flags(),
-        )
 
 
 def _parser(convert: Callable[[str], object], expected: str) -> Callable[[str, str], object]:
@@ -116,12 +90,27 @@ _PARSERS: dict[type, Callable[[str, str], object]] = {
     float: _parser(float, "a number"),
     bool: _parser({"true": True, "false": False}.__getitem__, "true or false"),
 }
-# key -> (attribute, parser), one per RunConfig field, the parser chosen by
-# the field's type; the key is the field name except 'lambda', a Python
-# keyword.  Parsers take (key, raw-string).
-_CONFIG_KEYS: dict[str, tuple[str, Callable]] = {
-    {"lam": "lambda"}.get(name, name): (name, _PARSERS[kind])
-    for name, kind in get_type_hints(RunConfig).items()
+# The config keys whose name is not their field's: 'lambda' is a Python
+# keyword, and 'lr' is short for the learning rate.
+_RENAMED_KEYS = {"lam": "lambda", "learning_rate": "lr"}
+
+
+def _leaf_fields(cls: type, owner: tuple[str, ...] = ()) -> Iterator[tuple[tuple[str, ...], type]]:
+    """(attribute path, type) of each field of dataclass ``cls``, with the
+    fields of a nested dataclass (the ablation flags) in place of it."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            yield from _leaf_fields(hints[f.name], owner + (f.name,))
+        else:
+            yield owner + (f.name,), hints[f.name]
+
+
+# key -> (attribute path, parser), one per leaf field of RunConfig, the
+# parser chosen by the field's type.  Parsers take (key, raw-string).
+_CONFIG_KEYS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    _RENAMED_KEYS.get(path[-1], path[-1]): (path, _PARSERS[kind])
+    for path, kind in _leaf_fields(RunConfig)
 }
 
 
@@ -129,10 +118,13 @@ def _validate(config: RunConfig) -> RunConfig:
     checks: list[tuple[str, bool, str]] = [
         ("stage", config.stage in ("pretrain", "comparative"), "must be pretrain or comparative"),
         ("d", config.d >= 1, "must be >= 1"),
-        ("l_chunk", config.l_chunk >= 1, "must be >= 1"),
-        ("lr", math.isfinite(config.lr) and config.lr > 0, "must be finite and > 0"),
+        # the checkpoint header stores l_chunk as a uint32
+        ("l_chunk", 1 <= config.l_chunk < 2**32, "must be in [1, 4294967295]"),
+        ("lr", math.isfinite(config.learning_rate) and config.learning_rate > 0,
+         "must be finite and > 0"),
         ("epochs", config.epochs >= 0, "must be >= 0"),
         ("lambda", math.isfinite(config.lam) and config.lam >= 0, "must be finite and >= 0"),
+        ("seed", config.seed >= 0, "must be >= 0"),
         ("key_k", config.key_k >= 0, "must be >= 0"),
         ("max_len", config.max_len >= 1, "must be >= 1"),
         ("temperature", math.isfinite(config.temperature) and config.temperature >= 0,
@@ -162,13 +154,13 @@ def load_config(path: str) -> RunConfig:
         raw = raw.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(key, "unknown key")
-        attr, parse = _CONFIG_KEYS[key]
-        setattr(config, attr, parse(key, raw))
+        path, parse = _CONFIG_KEYS[key]
+        setattr(reduce(getattr, path[:-1], config), path[-1], parse(key, raw))
     return _validate(config)
 
 
 def _require_path(config: RunConfig, key: str) -> str:
-    value = getattr(config, _CONFIG_KEYS[key][0])
+    value = getattr(config, key)
     if not value:
         raise ConfigError(key, "a path is required for this command")
     return value
@@ -226,18 +218,17 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     vocab, dataset = _load_vocab_and_data(config)
     records: list[StepRecord] = []
-    train_config = config.train_config()
     init = None
     if config.checkpoint_in or config.stage == "comparative":
         init, _, _ = _load_matching_checkpoint(config, vocab)
         if init.d != config.d:
             raise ConfigError("d", f"config d={config.d} but checkpoint has d={init.d}")
     if config.stage == "pretrain":
-        params = train_pretrain(dataset, train_config, vocab, init, records.append)
+        params = train_pretrain(dataset, config, vocab, init, records.append)
     else:
-        params = train_comparative(dataset, init, train_config, vocab, records.append)
+        params = train_comparative(dataset, init, config, vocab, records.append)
     if config.checkpoint_out:
-        save_checkpoint(config.checkpoint_out, params, config.l_chunk, config.flags())
+        save_checkpoint(config.checkpoint_out, params, config.l_chunk, config.flags)
     if config.report:
         _write_log(config.report, records)
     print(
@@ -259,10 +250,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     vocab, dataset = _load_vocab_and_data(config)
     params, ck_l_chunk, flags = _load_matching_checkpoint(config, vocab)
     out = _require_path(config, "report")
-    period_id = vocab.id_of(SENTENCE_DELIMITER)
     lines = []
     contexts = (
-        chunk(model_context(ps, config.key_k, period_id, flags), ck_l_chunk) for ps in dataset
+        chunk(model_context(ps, vocab, config.key_k, flags), ck_l_chunk) for ps in dataset
     )
     for ps, (chunks, start) in zip(dataset, prefilled(params, contexts, flags)):
         if config.temperature == 0.0:
@@ -317,24 +307,19 @@ def pipeline_end_to_end(config: RunConfig) -> int:
             vocab.save(config.vocab)
         label = "load"
         dataset = load_dataset(config.data, vocab)
-        flags = config.flags()
         label = "pretrain"
         pre_records: list[StepRecord] = []
-        params = train_pretrain(
-            dataset, config.train_config(), vocab, log_fn=pre_records.append
-        )
+        params = train_pretrain(dataset, config, vocab, log_fn=pre_records.append)
         label = "comparative"
         comp_records: list[StepRecord] = []
-        params = train_comparative(
-            dataset, params, config.train_config(), vocab, comp_records.append
-        )
+        params = train_comparative(dataset, params, config, vocab, comp_records.append)
         label = "checkpoint"
         if config.checkpoint_out:
-            save_checkpoint(config.checkpoint_out, params, config.l_chunk, flags)
+            save_checkpoint(config.checkpoint_out, params, config.l_chunk, config.flags)
         label = "evaluate"
         report = evaluate_dataset(
             params, dataset, vocab, config.l_chunk, config.max_len,
-            tau=config.tau, key_k=config.key_k, flags=flags,
+            tau=config.tau, key_k=config.key_k, flags=config.flags,
         )
         if config.report:
             write_report(config.report, report)
@@ -353,6 +338,12 @@ def pipeline_end_to_end(config: RunConfig) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     return pipeline_end_to_end(load_config(args.config))
+
+
+def _non_negative_int(raw: str) -> int:
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got '{raw}'")
+    return int(raw)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.set_defaults(handler=handler)
     g = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    g.add_argument("--seed", type=int, default=0, help="probe seed")
+    g.add_argument("--seed", type=_non_negative_int, default=0, help="probe seed")
     g.set_defaults(handler=_cmd_gradcheck)
     return parser
 

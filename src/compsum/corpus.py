@@ -26,6 +26,8 @@ from .ioutil import atomic_write_text, utf8_lines
 # interchangeable across runs.
 PAD, BOS, EOS, UNK, SEP_DOC, SEP_SUM, KEY_MARK = range(7)
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>", "<doc>", "<sum>", "<key>")
+# The token that ends a sentence, for key extraction and the G-Score alike.
+SENTENCE_DELIMITER = "."
 
 
 def tokenize(text: str) -> list[str]:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import EOS, Vocabulary, chunk
+from .corpus import EOS, SENTENCE_DELIMITER, Vocabulary, chunk
 from .errors import EmptyDataset
 from .ioutil import atomic_write_text
 from .model import AblationFlags, ModelParams, greedy_decode, model_context, prefilled
@@ -25,8 +25,6 @@ CONNECTIVES = frozenset(
         "more", "less", "better", "worse", "similar", "contrast",
     )
 )
-
-SENTENCE_DELIMITER = "."
 
 
 @dataclass
@@ -226,10 +224,9 @@ def evaluate_dataset(
     if len(dataset) == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
     flags = flags or AblationFlags()
-    period_id = vocab.id_of(SENTENCE_DELIMITER)
     rows = []
     sums = [0.0, 0.0, 0.0, 0.0]
-    contexts = (chunk(model_context(ps, key_k, period_id, flags), l_chunk) for ps in dataset)
+    contexts = (chunk(model_context(ps, vocab, key_k, flags), l_chunk) for ps in dataset)
     for ps, (chunks, start) in zip(dataset, prefilled(params, contexts, flags)):
         decoded = greedy_decode(params, chunks, max_len, flags, start=start)
         candidate = vocab.decode(decoded)

@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD, Chunk, PaperSet, assemble_context
+from .corpus import BOS, EOS, PAD, SENTENCE_DELIMITER, Chunk, PaperSet, Vocabulary
+from .corpus import assemble_context
 from .errors import CheckpointError, DimensionMismatch, EmptyChunk, EmptyInput
 from .errors import NonFiniteCheckpoint
 from .ioutil import atomic_write_bytes
@@ -47,13 +48,13 @@ class AblationFlags:
 
 
 def model_context(
-    paper_set: PaperSet, key_k: int, period_id: int | None, flags: AblationFlags
+    paper_set: PaperSet, vocab: Vocabulary, key_k: int, flags: AblationFlags
 ) -> list[int]:
-    """The context the model reads for a paper set: ``assemble_context`` with
-    no key sentences when key extraction is ablated."""
-    return assemble_context(
-        paper_set, 0 if flags.disable_key_extraction else key_k, period_id
-    )
+    """The context the model reads for a paper set: ``assemble_context``,
+    splitting sentences at the vocabulary's ``SENTENCE_DELIMITER``, with no
+    key sentences when key extraction is ablated."""
+    key_k = 0 if flags.disable_key_extraction else key_k
+    return assemble_context(paper_set, key_k, vocab.id_of(SENTENCE_DELIMITER))
 
 
 @dataclass

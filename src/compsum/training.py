@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -163,15 +163,13 @@ class LossSpec:
 
     ``targets`` enables the generation term over the trace's logits.
     ``insights``/``ref_tokens`` enable the contrastive term at weight ``lam``
-    (their encoding passes are recomputed inside backward).  ``scale``
-    multiplies the whole objective.
+    (their encoding passes are recomputed inside backward).
     """
 
     targets: Sequence[int] | None = None
     lam: float = 0.0
     insights: Sequence[Sequence[int]] | None = None
     ref_tokens: Sequence[int] | None = None
-    scale: float = 1.0
 
 
 def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
@@ -381,16 +379,12 @@ def _losses_and_grads(
         l_gen, dlogits, _ = _generation_loss_and_dlogits(
             trace.logits, np.asarray(loss_spec.targets)
         )
-        _backward_stream(params, trace, grads, dlogits=loss_spec.scale * dlogits)
+        _backward_stream(params, trace, grads, dlogits=dlogits)
     if loss_spec.lam != 0.0 and loss_spec.insights is not None:
         if loss_spec.ref_tokens is None:
             raise EmptyInput("contrastive term needs reference tokens")
         l_comp = _comparative_backward(
-            params,
-            loss_spec.insights,
-            loss_spec.ref_tokens,
-            loss_spec.scale * loss_spec.lam,
-            grads,
+            params, loss_spec.insights, loss_spec.ref_tokens, loss_spec.lam, grads
         )
     return l_gen, l_comp, grads
 
@@ -571,7 +565,7 @@ class TrainConfig:
     seed: int = 0
     key_k: int = 2
     flags: AblationFlags = field(default_factory=AblationFlags)
-    clip_norm: float = 5.0
+    clip_norm: ClassVar[float] = 5.0  # a constant, not a config key
 
 
 @dataclass
@@ -656,10 +650,9 @@ def train_pretrain(
     if len(corpus) == 0:
         raise EmptyCorpus("pretraining corpus is empty")
     params = init.copy() if init is not None else init_params(config.d, len(vocab), config.seed)
-    period_id = vocab.id_of(".")
     examples = []
     for ps in corpus:
-        stream = model_context(ps, config.key_k, period_id, config.flags) + ps.ref_summary
+        stream = model_context(ps, vocab, config.key_k, config.flags) + ps.ref_summary
         ids, spans = _chunk_layout(chunk(stream[:-1], config.l_chunk))
         examples.append((ids, spans, 0, LossSpec(targets=stream[1:])))
     return _train(params, examples, config, "pretrain", 0.0, log_fn)
@@ -682,10 +675,9 @@ def train_comparative(
     if len(dataset) == 0:
         raise EmptyCorpus("fine-tuning dataset is empty")
     lam = 0.0 if config.flags.disable_comparative else config.lam
-    period_id = vocab.id_of(".")
     examples = []
     for ps in dataset:
-        context = chunk(model_context(ps, config.key_k, period_id, config.flags), config.l_chunk)
+        context = chunk(model_context(ps, vocab, config.key_k, config.flags), config.l_chunk)
         spec = LossSpec(targets=ps.ref_summary)
         if lam != 0.0:
             insights = [doc.insight for doc in ps.docs if doc.insight]

@@ -6,6 +6,8 @@ import json
 import struct
 import warnings
 from dataclasses import fields
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ import compsum
 from compsum import cli
 from compsum.cli import _CONFIG_KEYS, GRADCHECK_TOLERANCE, RunConfig, load_config, run
 from compsum.errors import ConfigError
-from compsum.model import load_checkpoint
+from compsum.model import AblationFlags, load_checkpoint
 
 
 def write_config(directory, name="run.cfg", **keys):
@@ -56,11 +58,11 @@ class TestLoadConfig:
             disable_memory="true", disable_comparative="false", data="x.jsonl",
         ))
         assert cfg.stage == "comparative"
-        assert cfg.lr == 0.01
+        assert cfg.learning_rate == 0.01
         assert cfg.epochs == 7
-        assert cfg.disable_memory is True
-        assert cfg.disable_comparative is False
-        assert cfg.flags().disable_memory is True
+        assert cfg.flags.disable_memory is True
+        assert cfg.flags.disable_comparative is False
+        assert cfg.flags.disable_key_extraction is False
 
     def test_whitespace_around_separator(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -94,11 +96,13 @@ class TestLoadConfig:
             ("stage=finetune", "stage"),
             ("d=0", "d"),
             ("l_chunk=0", "l_chunk"),
+            ("l_chunk=4294967296", "l_chunk"),
             ("lr=0", "lr"),
             ("lr=inf", "lr"),
             ("epochs=-1", "epochs"),
             ("lambda=-0.5", "lambda"),
             ("lambda=inf", "lambda"),
+            ("seed=-1", "seed"),
             ("key_k=-1", "key_k"),
             ("max_len=0", "max_len"),
             ("temperature=-1", "temperature"),
@@ -112,8 +116,11 @@ class TestLoadConfig:
             self._expect_config_error(tmp_path, line + "\n", key)
 
     def test_boundary_values_accepted(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, tau="1", epochs="0", key_k="0"))
+        cfg = load_config(write_config(
+            tmp_path, tau="1", epochs="0", key_k="0", l_chunk="4294967295"
+        ))
         assert cfg.tau == 1.0 and cfg.epochs == 0 and cfg.key_k == 0
+        assert cfg.l_chunk == 2**32 - 1
 
 
 class TestUsage:
@@ -384,6 +391,12 @@ class TestGradcheckCommand:
         assert "pass" in out
         assert GRADCHECK_TOLERANCE == 1e-4
 
+    def test_negative_seed_is_a_usage_error(self):
+        code, out, err = invoke(["gradcheck", "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert "argument --seed: expected an integer >= 0, got '-1'" in err
+
 
 class TestPipeline:
     def _config(self, root, **overrides):
@@ -424,6 +437,17 @@ class TestPipeline:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: pipeline stage 'pretrain': pretrain step 2")
 
+    @pytest.mark.parametrize("value", ["-1", str(2**32), str(10**20)])
+    @pytest.mark.parametrize("key", ["d", "l_chunk", "seed", "key_k", "min_freq", "synth_seed"])
+    def test_extreme_integers_never_end_in_a_traceback(self, tmp_path, key, value):
+        # epochs, max_len and synth_count are left out: a huge value of
+        # theirs is a legitimately long run.  d=2**32 asks for over a
+        # terabyte, which malloc refuses.
+        keys = dict(synth_count="2", d="2", epochs="0", max_len="4")
+        keys[key] = value
+        code, _, err = invoke(["pipeline", "--config", self._config(tmp_path, **keys)])
+        assert code in (0, 2), err
+        assert len(err.splitlines()) <= 1
 
     @pytest.mark.parametrize("d", ["1000000000000000", "100000000000000000"])
     def test_unallocatable_model_size_exits_2(self, tmp_path, d):
@@ -441,6 +465,30 @@ class TestExports:
         assert [name for name in compsum.__all__ if not hasattr(compsum, name)] == []
 
     def test_one_config_key_per_run_config_field(self):
-        attrs = [attr for attr, _ in _CONFIG_KEYS.values()]
-        assert sorted(attrs) == sorted(f.name for f in fields(RunConfig))
-        assert _CONFIG_KEYS["lambda"][0] == "lam"
+        paths = [path for path, _ in _CONFIG_KEYS.values()]
+        flags = [("flags", f.name) for f in fields(AblationFlags)]
+        own = [(f.name,) for f in fields(RunConfig) if f.name != "flags"]
+        assert sorted(paths) == sorted(own + flags)
+        assert len(_CONFIG_KEYS) == 22
+        assert _CONFIG_KEYS["lambda"][0] == ("lam",)
+        assert _CONFIG_KEYS["lr"][0] == ("learning_rate",)
+        assert _CONFIG_KEYS["disable_memory"][0] == ("flags", "disable_memory")
+        assert "clip_norm" not in _CONFIG_KEYS
+        assert {key for key, (path, _) in _CONFIG_KEYS.items() if key != path[-1]} == {
+            "lr", "lambda"
+        }
+
+    def test_readme_config_table_matches_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+        rows = {}
+        for line in table.splitlines()[2:]:
+            key_cell, default_cell = (cell.strip() for cell in line.split("|")[1:3])
+            for key in key_cell.split(" / "):
+                rows[key.strip("`")] = default_cell.strip("`")
+        defaults = RunConfig()
+        want = {}
+        for key, (path, _) in _CONFIG_KEYS.items():
+            value = reduce(getattr, path, defaults)
+            want[key] = str(value).lower() if isinstance(value, bool) else str(value)
+        assert rows == want

@@ -114,7 +114,7 @@ def test_generation_and_contrastive_gradients(d, memory_on, monkeypatch):
     the oracle's passes patched in."""
     params, context, target, insights = _example(d, 4)
     chunks = _chunks(context, 4)
-    spec = LossSpec(targets=target, lam=0.7, insights=insights, ref_tokens=target, scale=1.3)
+    spec = LossSpec(targets=target, lam=0.7, insights=insights, ref_tokens=target)
     got = backward(forward(params, chunks, target, _flags(memory_on)), params, spec)
     monkeypatch.setattr(model, "_run_stream", oracle.run_stream)
     monkeypatch.setattr(training, "_backward_stream", oracle.backward_stream)

@@ -174,19 +174,6 @@ class TestBackward:
         for name in gen_only:
             assert np.array_equal(gen_only[name], with_comp[name])
 
-    def test_scale_linearity(self):
-        probe = gradcheck_probe(1)
-        trace = forward(probe.params, probe.context_chunks, probe.targets, probe.flags)
-        spec = LossSpec(targets=probe.targets, lam=probe.lam, insights=probe.insights,
-                        ref_tokens=probe.targets)
-        ones = backward(trace, probe.params, spec)
-        twice = backward(trace, probe.params,
-                         LossSpec(targets=probe.targets, lam=probe.lam,
-                                  insights=probe.insights, ref_tokens=probe.targets,
-                                  scale=2.0))
-        for name in ones:
-            assert_allclose(twice[name], 2.0 * ones[name], rtol=1e-9, atol=1e-12)
-
     def test_stale_trace_rejected(self):
         probe = gradcheck_probe(2)
         trace = forward(probe.params, probe.context_chunks, probe.targets, probe.flags)
