@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .errors import ConfigError, Error, InvariantError
 from .ioutil import atomic_write_text, utf8_lines
-from .metrics import evaluate_dataset, write_report
+from .metrics import DEFAULT_TAU, evaluate_dataset, write_report
 from .model import (
     greedy_decode,
     load_checkpoint,
@@ -68,7 +68,7 @@ class RunConfig(TrainConfig):
     report: str = ""
     max_len: int = 48
     temperature: float = 0.0
-    tau: float = 0.5
+    tau: float = DEFAULT_TAU
     min_freq: int = 1
     synth_count: int = 100
     synth_seed: int = 0

@@ -16,7 +16,7 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, SchemaError
@@ -273,19 +273,9 @@ class RawPaperSet:
     papers: list[RawPaper]
     ref_summary: str
 
-    def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "papers": [
-                {"id": p.id, "title": p.title, "text": p.text, "insight": p.insight}
-                for p in self.papers
-            ],
-            "ref_summary": self.ref_summary,
-        }
-
 
 def write_dataset(path: str, records: Iterable[RawPaperSet]) -> None:
-    lines = [json.dumps(r.to_record()) for r in records]
+    lines = [json.dumps(asdict(r)) for r in records]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from .corpus import EOS, SENTENCE_DELIMITER, Vocabulary, chunk
 from .errors import EmptyDataset
 from .ioutil import atomic_write_text
 from .model import AblationFlags, ModelParams, greedy_decode, model_context, prefilled
+from .training import TrainConfig
 
 # Fixed lexicon of comparative connectives used by the G-Score density term.
 CONNECTIVES = frozenset(
@@ -25,6 +26,8 @@ CONNECTIVES = frozenset(
         "more", "less", "better", "worse", "similar", "contrast",
     )
 )
+# Default G-Score coverage threshold, and the default of the config key 'tau'.
+DEFAULT_TAU = 0.5
 
 
 @dataclass
@@ -129,7 +132,7 @@ class GScore:
 def g_score(
     candidate: Sequence[str],
     insight_units: Sequence[Sequence[str]],
-    tau: float = 0.5,
+    tau: float = DEFAULT_TAU,
 ) -> GScore:
     """Score how well a candidate summary covers the reference insight units
     while staying comparative in form."""
@@ -155,7 +158,7 @@ def g_score(
 
 @dataclass
 class ExampleScores:
-    """One per-example report row."""
+    """One per-example report row; every field but ``id`` is a score."""
 
     id: str
     rouge1_f1: float
@@ -163,39 +166,29 @@ class ExampleScores:
     rougeL_f1: float
     g_score: float
 
-    def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "rouge1_f1": self.rouge1_f1,
-            "rouge2_f1": self.rouge2_f1,
-            "rougeL_f1": self.rougeL_f1,
-            "g_score": self.g_score,
-        }
-
 
 @dataclass
 class EvalReport:
-    """Dataset aggregate (arithmetic means) plus the per-example rows."""
+    """The per-example rows of a dataset evaluation."""
 
-    rouge1_f1: float
-    rouge2_f1: float
-    rougeL_f1: float
-    g_score: float
-    example_count: int
     rows: list[ExampleScores]
 
     def aggregate_record(self) -> dict:
-        return {
-            "rouge1_f1": self.rouge1_f1,
-            "rouge2_f1": self.rouge2_f1,
-            "rougeL_f1": self.rougeL_f1,
-            "g_score": self.g_score,
-            "example_count": self.example_count,
-        }
+        """The arithmetic mean of each score, summed left to right in row
+        order, then ``example_count``."""
+        n = len(self.rows)
+        record: dict = {}
+        for name in (f.name for f in fields(ExampleScores) if f.name != "id"):
+            total = 0.0
+            for row in self.rows:
+                total += getattr(row, name)
+            record[name] = total / n
+        record["example_count"] = n
+        return record
 
     def to_lines(self) -> list[str]:
         lines = [json.dumps(self.aggregate_record())]
-        lines.extend(json.dumps(row.to_record()) for row in self.rows)
+        lines.extend(json.dumps(asdict(row)) for row in self.rows)
         return lines
 
 
@@ -209,8 +202,8 @@ def evaluate_dataset(
     vocab: Vocabulary,
     l_chunk: int,
     max_len: int,
-    tau: float = 0.5,
-    key_k: int = 2,
+    tau: float = DEFAULT_TAU,
+    key_k: int = TrainConfig.key_k,
     flags: AblationFlags | None = None,
 ) -> EvalReport:
     """Greedy-decode a summary for every example and score it against the
@@ -225,7 +218,6 @@ def evaluate_dataset(
         raise EmptyDataset("cannot evaluate an empty dataset")
     flags = flags or AblationFlags()
     rows = []
-    sums = [0.0, 0.0, 0.0, 0.0]
     contexts = (chunk(model_context(ps, vocab, key_k, flags), l_chunk) for ps in dataset)
     for ps, (chunks, start) in zip(dataset, prefilled(params, contexts, flags)):
         decoded = greedy_decode(params, chunks, max_len, flags, start=start)
@@ -239,9 +231,4 @@ def evaluate_dataset(
             ps.id, scores.rouge1.f1, scores.rouge2.f1, scores.rougeL.f1, g.value
         )
         rows.append(row)
-        sums[0] += row.rouge1_f1
-        sums[1] += row.rouge2_f1
-        sums[2] += row.rougeL_f1
-        sums[3] += row.g_score
-    n = len(rows)
-    return EvalReport(sums[0] / n, sums[1] / n, sums[2] / n, sums[3] / n, n, rows)
+    return EvalReport(rows)

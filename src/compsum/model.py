@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import BOS, EOS, PAD, SENTENCE_DELIMITER, Chunk, PaperSet, Vocabulary
-from .corpus import assemble_context
+from .corpus import BOS, EOS, PAD, RESERVED_TOKENS, SENTENCE_DELIMITER, Chunk, PaperSet
+from .corpus import Vocabulary, assemble_context
 from .errors import CheckpointError, DimensionMismatch, EmptyChunk, EmptyInput
 from .errors import NonFiniteCheckpoint
 from .ioutil import atomic_write_bytes
@@ -92,8 +92,9 @@ def tensor_shapes(d: int, V: int) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
-    """Uniform(-scale, scale) init, tensors drawn in TENSOR_NAMES order."""
-    if d < 1 or V <= max(PAD, BOS, EOS):
+    """Uniform(-scale, scale) init, tensors drawn in TENSOR_NAMES order.
+    ``V`` must cover the reserved tokens, as ``load_checkpoint`` requires."""
+    if d < 1 or V < len(RESERVED_TOKENS):
         raise DimensionMismatch(f"bad model size d={d}, V={V}")
     rng = np.random.default_rng(seed)
     shapes = tensor_shapes(d, V)
@@ -561,11 +562,8 @@ _VERSION = 2
 
 
 def _flag_bits(flags: AblationFlags) -> int:
-    return (
-        (1 if flags.disable_memory else 0)
-        | (2 if flags.disable_key_extraction else 0)
-        | (4 if flags.disable_comparative else 0)
-    )
+    """Bit i of the header's bitmask is the i-th field of ``AblationFlags``."""
+    return sum(1 << i for i, f in enumerate(fields(AblationFlags)) if getattr(flags, f.name))
 
 
 def save_checkpoint(
@@ -620,7 +618,10 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags]:
     version, d, V, l_chunk, bits = (reader.u32() for _ in range(5))
     if version != _VERSION:
         raise CheckpointError(path, f"unsupported checkpoint version {version}")
-    if d < 1 or V < 7 or l_chunk < 1:
+    names = [f.name for f in fields(AblationFlags)]
+    if bits >> len(names):
+        raise CheckpointError(path, f"unknown ablation bits in bitmask {bits}")
+    if d < 1 or V < len(RESERVED_TOKENS) or l_chunk < 1:
         raise CheckpointError(path, f"bad header d={d} V={V} l_chunk={l_chunk}")
     shapes = tensor_shapes(d, V)
     tensors: dict[str, np.ndarray] = {}
@@ -635,5 +636,5 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags]:
         tensors[name] = tensor
     if reader.off != len(reader.data):
         raise CheckpointError(path, "trailing bytes")
-    flags = AblationFlags(bool(bits & 1), bool(bits & 2), bool(bits & 4))
+    flags = AblationFlags(**{name: bool(bits >> i & 1) for i, name in enumerate(names)})
     return ModelParams(d, V, tensors), l_chunk, flags

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -510,7 +510,7 @@ def init_adam_state(params: ModelParams) -> AdamState:
     return AdamState(0, params.zeros_like(), params.zeros_like())
 
 
-def clip_gradients(grads: Gradients, max_norm: float = 5.0) -> float:
+def clip_gradients(grads: Gradients, max_norm: float) -> float:
     """Scale all gradients in place so the global L2 norm is <= max_norm;
     returns the pre-clip norm."""
     total = 0.0
@@ -580,14 +580,8 @@ class StepRecord:
     l_stage: float
 
     def to_record(self) -> dict:
-        return {
-            "step": self.step,
-            "epoch": self.epoch,
-            "l_gen": self.l_gen,
-            "l_comp": self.l_comp,
-            "lambda": self.lam,
-            "l_stage": self.l_stage,
-        }
+        """The fields in declaration order, ``lam`` written as ``lambda``."""
+        return {("lambda" if k == "lam" else k): v for k, v in asdict(self).items()}
 
 
 LogFn = Callable[[StepRecord], None]

@@ -184,7 +184,8 @@ class TestSubcommands:
         assert params.V == vocab_size
         log = [json.loads(line) for line in open(paths["log"], encoding="utf-8")]
         assert len(log) == 5  # one step per example, one epoch
-        assert set(log[0]) == {"step", "epoch", "l_gen", "l_comp", "lambda", "l_stage"}
+        for record in log:
+            assert list(record) == ["step", "epoch", "l_gen", "l_comp", "lambda", "l_stage"]
 
     def test_train_stage_report_on_stdout(self, workspace):
         root, paths = workspace
@@ -299,6 +300,13 @@ class TestSubcommands:
         code, err, path = self._evaluate_with_checkpoint(workspace, "v1.ckpt", bytes(data))
         assert code == 2
         assert err == f"error: checkpoint '{path}': unsupported checkpoint version 1\n"
+
+    def test_unknown_ablation_bits_rejected(self, workspace):
+        data = bytearray(open(workspace[1]["ckpt"], "rb").read())
+        data[20:24] = struct.pack("<I", 9)  # disable_memory plus an unknown bit 3
+        code, err, path = self._evaluate_with_checkpoint(workspace, "bits.ckpt", bytes(data))
+        assert code == 2
+        assert err == f"error: checkpoint '{path}': unknown ablation bits in bitmask 9\n"
 
     def test_duplicate_vocabulary_token(self, workspace, tmp_path):
         root, paths = workspace

@@ -2,6 +2,7 @@
 dataset files, and the synthetic corpus generator."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -280,6 +281,14 @@ class TestDatasetFiles:
             assert ps.ref_summary[-1] == EOS
             assert vocab.decode(ps.ref_summary[:-1]) == tokenize(raw.ref_summary)
 
+    def test_line_key_order(self, tmp_path):
+        path = self._write(tmp_path, generate_synthetic_corpus(3, 1))
+        with open(path, encoding="utf-8") as fh:
+            record = json.loads(fh.readline())
+        assert list(record) == ["id", "papers", "ref_summary"]
+        for paper in record["papers"]:
+            assert list(paper) == ["id", "title", "text", "insight"]
+
     def test_unknown_tokens_become_unk(self, tmp_path):
         path = self._write(
             tmp_path, [RawPaperSet("e", [RawPaper("p", "t", "zebra runs", "")], "zebra")]
@@ -356,13 +365,13 @@ class TestDatasetFiles:
 
 class TestSyntheticCorpus:
     def test_deterministic_per_seed(self):
-        a = [r.to_record() for r in generate_synthetic_corpus(5, 8)]
-        b = [r.to_record() for r in generate_synthetic_corpus(5, 8)]
+        a = [asdict(r) for r in generate_synthetic_corpus(5, 8)]
+        b = [asdict(r) for r in generate_synthetic_corpus(5, 8)]
         assert a == b
 
     def test_seeds_differ(self):
-        a = [r.to_record() for r in generate_synthetic_corpus(0, 8)]
-        b = [r.to_record() for r in generate_synthetic_corpus(1, 8)]
+        a = [asdict(r) for r in generate_synthetic_corpus(0, 8)]
+        b = [asdict(r) for r in generate_synthetic_corpus(1, 8)]
         assert a != b
 
     def test_validation(self):

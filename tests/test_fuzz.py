@@ -5,6 +5,7 @@ Each input is a small valid file, cut short, bit-flipped, or given invalid
 UTF-8, deep nesting or huge header sizes and counts.  Every input must load
 or raise ``compsum.Error`` or ``OSError``, the exceptions ``cli.run`` maps to
 exit codes 2 and 3; anything else would end the program in a traceback.
+A checkpoint that loads must save back to the same bytes.
 The examples are derandomized, so every run tries the same inputs.
 """
 
@@ -76,13 +77,14 @@ def mutations(valid: bytes, inserts=()):
     return st.one_of(cut, flipped, inserted)
 
 
-def loads_or_refuses(load, directory, data: bytes) -> None:
+def loads_or_refuses(load, directory, data: bytes):
+    """What ``load`` returns for ``data``, or None if it refuses it."""
     path = directory / "fuzzed"
     path.write_bytes(data)
     try:
-        load(str(path))
+        return load(str(path))
     except (Error, OSError):
-        pass
+        return None
 
 
 @pytest.fixture(scope="module")
@@ -176,5 +178,12 @@ def test_load_checkpoint(valid_files, work_dir, mutated):
     data = mutated.draw(st.one_of(
         mutations(valid),
         st.tuples(st.sampled_from(_u32_offsets(2, 9)), st.sampled_from(U32_EDGES)).map(overwrite),
+        st.tuples(st.just(20), st.integers(0, 2**32 - 1)).map(overwrite),  # ablation bitmask
     ))
-    loads_or_refuses(load_checkpoint, work_dir, data)
+    loaded = loads_or_refuses(load_checkpoint, work_dir, data)
+    if loaded is not None:
+        # a file that loads holds nothing its load drops: saving it again
+        # writes the same bytes
+        resaved = work_dir / "resaved"
+        save_checkpoint(str(resaved), *loaded)
+        assert resaved.read_bytes() == data

@@ -1,6 +1,7 @@
 """Tests for ROUGE, the comparative G-Score, sentence splitting, and
 dataset-level evaluation reports."""
 
+import inspect
 import json
 from itertools import combinations
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from compsum.cli import RunConfig
 from compsum.corpus import (
     build_vocab,
     dataset_token_streams,
@@ -18,6 +20,8 @@ from compsum.corpus import (
 from compsum.errors import EmptyDataset
 from compsum.metrics import (
     CONNECTIVES,
+    EvalReport,
+    ExampleScores,
     evaluate_dataset,
     g_score,
     lcs_length,
@@ -232,11 +236,14 @@ def setup(tmp_path_factory):
     return params, dataset, vocab
 
 
+EVAL_ARGS = dict(l_chunk=16, max_len=30, tau=0.5, key_k=2)
+
+
 class TestEvaluateDataset:
     def test_report_shape_and_ranges(self, setup):
         params, dataset, vocab = setup
-        report = evaluate_dataset(params, dataset, vocab, l_chunk=16, max_len=30)
-        assert report.example_count == 3
+        report = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
+        assert len(report.rows) == 3
         assert [r.id for r in report.rows] == [ps.id for ps in dataset]
         for row in report.rows:
             assert 0.0 <= row.rouge1_f1 <= 1.0
@@ -245,38 +252,58 @@ class TestEvaluateDataset:
 
     def test_aggregate_is_mean_of_rows(self, setup):
         params, dataset, vocab = setup
-        report = evaluate_dataset(params, dataset, vocab, l_chunk=16, max_len=30)
-        assert_allclose(report.rouge1_f1, np.mean([r.rouge1_f1 for r in report.rows]),
+        report = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
+        aggregate = report.aggregate_record()
+        assert_allclose(aggregate["rouge1_f1"], np.mean([r.rouge1_f1 for r in report.rows]),
                         rtol=1e-12)
-        assert_allclose(report.g_score, np.mean([r.g_score for r in report.rows]),
+        assert_allclose(aggregate["g_score"], np.mean([r.g_score for r in report.rows]),
                         rtol=1e-12)
+
+    def test_aggregate_sums_left_to_right(self):
+        # 1e16 + 1 rounds back to 1e16, so the plain running sum is 0, where
+        # a compensated sum (math.fsum, or sum() from Python 3.12) gives 1.
+        rows = [ExampleScores(str(i), v, v, v, v) for i, v in enumerate((1e16, 1.0, -1e16))]
+        aggregate = EvalReport(rows).aggregate_record()
+        assert aggregate == {
+            "rouge1_f1": 0.0, "rouge2_f1": 0.0, "rougeL_f1": 0.0, "g_score": 0.0,
+            "example_count": 3,
+        }
+
+    def test_defaults_are_run_config_defaults(self):
+        params = inspect.signature(evaluate_dataset).parameters
+        config = RunConfig()
+        assert params["tau"].default == config.tau
+        assert params["key_k"].default == config.key_k
+        assert params["flags"].default is None
 
     def test_deterministic(self, setup):
         params, dataset, vocab = setup
-        a = evaluate_dataset(params, dataset, vocab, l_chunk=16, max_len=30)
-        b = evaluate_dataset(params, dataset, vocab, l_chunk=16, max_len=30)
+        a = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
+        b = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
         assert a.to_lines() == b.to_lines()
 
     def test_ablation_flags_complete(self, setup):
         params, dataset, vocab = setup
         for flags in (AblationFlags(disable_memory=True),
                       AblationFlags(disable_key_extraction=True)):
-            report = evaluate_dataset(params, dataset, vocab, l_chunk=16, max_len=30,
-                                      flags=flags)
-            assert report.example_count == 3
+            report = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=flags)
+            assert len(report.rows) == 3
 
     def test_report_file_round_trip(self, setup, tmp_path):
         params, dataset, vocab = setup
-        report = evaluate_dataset(params, dataset, vocab, l_chunk=16, max_len=30)
+        report = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
         path = str(tmp_path / "report.jsonl")
         write_report(path, report)
         lines = open(path, encoding="utf-8").read().splitlines()
         assert len(lines) == 1 + len(report.rows)
         aggregate = json.loads(lines[0])
+        scores = ["rouge1_f1", "rouge2_f1", "rougeL_f1", "g_score"]
+        assert list(aggregate) == scores + ["example_count"]
         assert aggregate["example_count"] == 3
-        assert set(json.loads(lines[1])) == {"id", "rouge1_f1", "rouge2_f1", "rougeL_f1", "g_score"}
+        for line in lines[1:]:
+            assert list(json.loads(line)) == ["id"] + scores
 
     def test_empty_dataset_rejected(self, setup):
         params, _, vocab = setup
         with pytest.raises(EmptyDataset):
-            evaluate_dataset(params, [], vocab, l_chunk=16, max_len=30)
+            evaluate_dataset(params, [], vocab, **EVAL_ARGS, flags=AblationFlags())

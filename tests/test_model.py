@@ -180,8 +180,9 @@ class TestInitParams:
     def test_bad_sizes(self):
         with pytest.raises(DimensionMismatch):
             init_params(0, 10, 0)
-        with pytest.raises(DimensionMismatch):
-            init_params(4, 2, 0)
+        for V in (2, 6):
+            with pytest.raises(DimensionMismatch):
+                init_params(4, V, 0)
 
 
 class TestForward:
@@ -375,6 +376,14 @@ class TestCheckpoint:
     def test_bad_version(self, tmp_path):
         def mutate(d):
             d[4:8] = struct.pack("<I", 99)
+            return d
+        self._corrupt(tmp_path, mutate)
+
+    @pytest.mark.parametrize("bits", [8, 9, 2**32 - 1])
+    def test_unknown_flag_bits_rejected(self, tmp_path, bits):
+        # bit 3 and above name no field of AblationFlags
+        def mutate(d):
+            d[20:24] = struct.pack("<I", bits)
             return d
         self._corrupt(tmp_path, mutate)
 

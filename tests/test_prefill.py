@@ -169,11 +169,15 @@ def test_evaluate_dataset_equals_per_example_oracle(tmp_path, monkeypatch, memor
     params = init_params(8, len(vocab), 2, scale=0.3)
     flags = _flags(memory_on)
     monkeypatch.setattr(model, "PREFILL_BLOCK", 4)  # three blocks
-    got = metrics.evaluate_dataset(params, dataset, vocab, l_chunk, 20, flags=flags)
+    got = metrics.evaluate_dataset(
+        params, dataset, vocab, l_chunk, 20, tau=0.5, key_k=2, flags=flags
+    )
 
     def per_example(params, chunks, max_len, flags, start=None):
         return oracle.decode(params, chunks, max_len, flags, lambda lg: int(np.argmax(lg)))
 
     monkeypatch.setattr(metrics, "greedy_decode", per_example)
-    want = metrics.evaluate_dataset(params, dataset, vocab, l_chunk, 20, flags=flags)
+    want = metrics.evaluate_dataset(
+        params, dataset, vocab, l_chunk, 20, tau=0.5, key_k=2, flags=flags
+    )
     assert got.to_lines() == want.to_lines()
