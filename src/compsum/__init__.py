@@ -6,6 +6,8 @@ verified by finite differences, ROUGE/G-Score evaluation, and a reproducible
 CLI pipeline.
 """
 
+from types import ModuleType as _ModuleType
+
 from .corpus import (
     BOS,
     EOS,
@@ -74,21 +76,8 @@ from .training import (
 
 __version__ = "0.1.0"
 
+# The names imported above, each listed once, and the version.
 __all__ = [
-    "PAD", "BOS", "EOS", "UNK", "SEP_DOC", "SEP_SUM", "KEY_MARK",
-    "Chunk", "PaperDocument", "PaperSet", "RawPaper", "RawPaperSet",
-    "Vocabulary", "tokenize", "build_vocab", "chunk", "extract_key_elements",
-    "assemble_context", "load_dataset", "write_dataset", "generate_synthetic_corpus",
-    "Error", "DataError", "InvariantError",
-    "ModelParams", "AblationFlags", "ForwardTrace", "init_params",
-    "recurrent_cell", "memory_update", "forward", "encode_sequence",
-    "greedy_decode", "sample_decode", "save_checkpoint", "load_checkpoint",
-    "LossSpec", "TrainConfig", "AdamState",
-    "generation_loss", "cosine_similarity", "comparative_loss", "stage_loss",
-    "backward", "finite_difference_check", "gradcheck_probe",
-    "clip_gradients", "init_adam_state", "optimizer_step",
-    "train_pretrain", "train_comparative",
-    "ScoreTriple", "RougeScores", "GScore", "EvalReport",
-    "rouge_n", "rouge_l", "g_score", "evaluate_dataset",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -40,6 +40,7 @@ from .model import (
     save_checkpoint,
 )
 from .training import (
+    LR_SCHEDULES,
     StepRecord,
     TrainConfig,
     finite_difference_check,
@@ -123,6 +124,7 @@ def _validate(config: RunConfig) -> RunConfig:
         ("lr", math.isfinite(config.learning_rate) and config.learning_rate > 0,
          "must be finite and > 0"),
         ("epochs", config.epochs >= 0, "must be >= 0"),
+        ("lr_schedule", config.lr_schedule in LR_SCHEDULES, "must be constant or linear"),
         ("lambda", math.isfinite(config.lam) and config.lam >= 0, "must be finite and >= 0"),
         ("seed", config.seed >= 0, "must be >= 0"),
         ("key_k", config.key_k >= 0, "must be >= 0"),
@@ -182,8 +184,14 @@ def _load_matching_checkpoint(config: RunConfig, vocab: Vocabulary):
 
 
 def _final_epoch_mean(records: list[StepRecord], epochs: int, attr: str) -> float:
-    values = [getattr(r, attr) for r in records if r.epoch == epochs]
-    return sum(values) / len(values) if values else 0.0
+    # Summed left to right: built-in sum() is compensated from Python 3.12,
+    # so it would print other digits for the same run.
+    total, n = 0.0, 0
+    for r in records:
+        if r.epoch == epochs:
+            total += getattr(r, attr)
+            n += 1
+    return total / n if n else 0.0
 
 
 def _write_log(path: str, records: list[StepRecord]) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
@@ -96,13 +97,17 @@ def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
     ``V`` must cover the reserved tokens, as ``load_checkpoint`` requires."""
     if d < 1 or V < len(RESERVED_TOKENS):
         raise DimensionMismatch(f"bad model size d={d}, V={V}")
-    rng = np.random.default_rng(seed)
     shapes = tensor_shapes(d, V)
-    try:
-        tensors = {name: rng.uniform(-scale, scale, shapes[name]) for name in TENSOR_NAMES}
-    except ValueError:
-        # numpy refuses shapes whose byte count overflows its index type
-        raise MemoryError(f"model of d={d}, V={V} is too large to allocate") from None
+    # Checked before drawing: an allocator may grant more than fits in memory.
+    size = 8 * sum(math.prod(shape) for shape in shapes.values())
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if size > physical:
+        raise MemoryError(
+            f"model of d={d}, V={V} needs {size} bytes, more than the {physical} bytes "
+            "of physical memory"
+        )
+    rng = np.random.default_rng(seed)
+    tensors = {name: rng.uniform(-scale, scale, shapes[name]) for name in TENSOR_NAMES}
     return ModelParams(d, V, tensors)
 
 
@@ -118,15 +123,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     shifted = x - np.max(x, axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / np.sum(ex, axis=-1, keepdims=True)
-
-
-def _matvec_rows(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``M @ v`` for every row v of ``rows`` in one call.
-
-    Each row gets its own matrix-vector product, so it rounds exactly as
-    ``M @ v`` alone; a GEMM such as ``rows @ M.T`` sums in another order.
-    """
-    return np.matmul(M, rows[:, :, None])[:, :, 0]
 
 
 class _GatedCell:

@@ -42,7 +42,6 @@ from .model import (
     ModelParams,
     _chunk_layout,
     _encode_traced,
-    _matvec_rows,
     _run_stream,
     _teacher_forced_layout,
     forward,
@@ -213,29 +212,6 @@ def _memory_update_backward(
     return d_mem_prev, d_hiddens
 
 
-# Positions per batch of (d, d) outer products in ``_backward_stream``, which
-# bounds their buffer to _OUTER_BLOCK * d * d floats (128 KB at d = 32).  On
-# the default pipeline, 16 positions raised peak RSS over a position-by-
-# position backward by about 0.25 MB; 32 positions raised it by about
-# 0.45 MB for a 5% faster backward pass.
-_OUTER_BLOCK = 16
-
-
-def _add_in_order(acc: np.ndarray, terms: np.ndarray) -> None:
-    """``for term in terms: acc += term``, with that loop's roundings, in one
-    reduction; ``terms`` is overwritten.
-
-    numpy sums along axis 0 row after row, so the result is bitwise that of
-    the loop; a reduction over rows of one element would be summed pairwise.
-    """
-    if acc.size == 1:
-        for term in terms:
-            acc += term
-        return
-    terms[0] += acc
-    np.sum(terms, axis=0, out=acc)
-
-
 def _backward_stream(
     params: ModelParams,
     trace: ForwardTrace,
@@ -249,9 +225,10 @@ def _backward_stream(
     Sweeps full depth (no truncation): regions last-to-first, positions
     last-to-first, backing through each memory update into the previous
     region's hidden states and the prior memory.  Only the hidden-state
-    chain runs position by position; the input and weight gradients are
-    formed afterwards from the stored gate gradients and summed in the
-    sweep's order, so they equal a per-position accumulation bit for bit.
+    chain runs position by position; it stores each position's gate
+    gradients [da_z | da_r | da_h], from which the input gradients take one
+    matrix product per region and the weight gradients one per stream
+    (Appleyard et al., arXiv:1604.01946).
     """
     t = params.tensors
     d = params.d
@@ -265,48 +242,41 @@ def _backward_stream(
         grads["b_o"] += dlogits.sum(axis=0)
         dhs[start:] += dlogits @ t["W_o"]
     memory_on = trace.memory_enabled
+    # Without the memory no gradient crosses a region boundary other than
+    # along the chain, so the whole stream is one region.
+    spans = trace.region_spans if memory_on else [(0, S)]
     ids = np.asarray(trace.input_ids)
     zs, rs, h_cands = trace.zs, trace.rs, trace.h_cands
     h_prevs = np.zeros((S, d))
     h_prevs[1:] = trace.hs[:-1]
-    U_h_T, U_z_T, U_r_T = t["U_h"].T, t["U_z"].T, t["U_r"].T
-    da_z = np.empty((S, d))
-    da_r = np.empty((S, d))
-    da_h = np.empty((S, d))
+    U_h_T = t["U_h"].T
+    U_zr_T = np.concatenate([t["U_z"], t["U_r"]]).T
+    W_zrh = np.concatenate([t["W_z"], t["W_r"], t["W_h"]])
+    # Rows [da_z | da_r | da_h] start as the chain rule's factors that depend
+    # on the forward pass alone, [C_z | C_r | A_h], and the sweep multiplies
+    # them in place: a_h = dh * A_h, a_z = dh * C_z, a_r = (U_h^T a_h) * C_r.
+    da = np.empty((S, 3 * d))
+    da_z, da_r, da_h, da_zr = da[:, :d], da[:, d : 2 * d], da[:, 2 * d :], da[:, : 2 * d]
+    one_minus_z = 1.0 - zs
+    np.multiply((h_cands - h_prevs) * zs, one_minus_z, out=da_z)
+    np.multiply(h_prevs * rs, 1.0 - rs, out=da_r)
+    np.multiply(zs, 1.0 - h_cands * h_cands, out=da_h)
     d_mem = np.zeros(d)
-    dh_carry = np.zeros(d)
-    for ri in range(len(trace.region_spans) - 1, -1, -1):
-        start, end = trace.region_spans[ri]
-        region = slice(start, end)
-        # Factors of the chain rule that depend on the forward pass alone.
-        one_minus_z = 1.0 - zs[region]
-        one_minus_r = 1.0 - rs[region]
-        tanh_slope = 1.0 - h_cands[region] * h_cands[region]
-        cand_minus_prev = h_cands[region] - h_prevs[region]
-        for i in range(end - start - 1, -1, -1):
-            p = start + i
-            dh = dhs[p] + dh_carry
-            z = zs[p]
-            r = rs[p]
-            dz = dh * cand_minus_prev[i]
-            dh_prev = dh * one_minus_z[i]
-            a_h = (dh * z) * tanh_slope[i]
-            uh_t_da = U_h_T @ a_h
-            dr = uh_t_da * h_prevs[p]
-            dh_prev += uh_t_da * r
-            a_z = dz * z * one_minus_z[i]
-            a_r = dr * r * one_minus_r[i]
-            dh_prev += U_z_T @ a_z + U_r_T @ a_r
-            da_z[p], da_r[p], da_h[p] = a_z, a_r, a_h
-            dh_carry = dh_prev
-        dx = (
-            _matvec_rows(t["W_z"].T, da_z[region])
-            + _matvec_rows(t["W_r"].T, da_r[region])
-            + _matvec_rows(t["W_h"].T, da_h[region])
-        )[::-1]
-        np.add.at(grads["E"], ids[region][::-1], dx)
+    carry = np.zeros(d)
+    for ri in range(len(spans) - 1, -1, -1):
+        start, end = spans[ri]
+        for p in range(end - 1, start - 1, -1):
+            dh = dhs[p] + carry
+            a_z, a_r, a_h = da_z[p], da_r[p], da_h[p]
+            a_h *= dh
+            u = U_h_T @ a_h
+            a_z *= dh
+            a_r *= u
+            carry = dh * one_minus_z[p] + u * rs[p] + U_zr_T @ da_zr[p]
+        dx = da[start:end] @ W_zrh
+        np.add.at(grads["E"], ids[start:end], dx)
         if memory_on:
-            _add_in_order(d_mem, dx.copy())
+            d_mem += dx.sum(axis=0)
             if ri > 0:
                 update = trace.updates[ri - 1]
                 us, ue = update.span
@@ -314,24 +284,14 @@ def _backward_stream(
                     params, update, trace.hs[us:ue], d_mem, grads
                 )
                 dhs[us:ue] += d_hiddens
-    # The weight gradients sum over positions S-1 ... 0, the order of the
-    # sweep, so every array from here on is read backwards.
-    xs = trace.xs[::-1]
-    h_prevs, rh_prevs = h_prevs[::-1], (rs * h_prevs)[::-1]
-    da_z, da_r, da_h = da_z[::-1], da_r[::-1], da_h[::-1]
-    outer_terms = (
-        ("W_h", da_h, xs), ("U_h", da_h, rh_prevs),
-        ("W_z", da_z, xs), ("U_z", da_z, h_prevs),
-        ("W_r", da_r, xs), ("U_r", da_r, h_prevs),
-    )
-    products = np.empty((min(S, _OUTER_BLOCK), d, d))
-    for lo in range(0, S, _OUTER_BLOCK):
-        block = slice(lo, lo + _OUTER_BLOCK)
-        out = products[: min(_OUTER_BLOCK, S - lo)]
-        for name, rows, cols in outer_terms:
-            _add_in_order(grads[name], np.einsum("pi,pj->pij", rows[block], cols[block], out=out))
-    for name, rows in (("b_h", da_h), ("b_z", da_z), ("b_r", da_r)):
-        _add_in_order(grads[name], rows.copy())
+    dW = da.T @ trace.xs
+    dU = np.concatenate([da_zr.T @ h_prevs, da_h.T @ (rs * h_prevs)])
+    db = da.sum(axis=0)
+    for i, g in enumerate("zrh"):
+        rows = slice(i * d, (i + 1) * d)
+        grads[f"W_{g}"] += dW[rows]
+        grads[f"U_{g}"] += dU[rows]
+        grads[f"b_{g}"] += db[rows]
 
 
 def _comparative_backward(
@@ -525,10 +485,15 @@ def clip_gradients(grads: Gradients, max_norm: float) -> float:
 
 
 def optimizer_step(
-    params: ModelParams, grads: Gradients, opt_state: AdamState, config: "TrainConfig"
+    params: ModelParams,
+    grads: Gradients,
+    opt_state: AdamState,
+    config: "TrainConfig",
+    lr: float | None = None,
 ) -> None:
-    """One Adam update at ``config.learning_rate`` in place; increments the
-    step counter by 1."""
+    """One Adam update in place at ``lr``, by default ``config.learning_rate``;
+    increments the step counter by 1."""
+    lr = config.learning_rate if lr is None else lr
     for name, tensor in params.tensors.items():
         if name not in grads or grads[name].shape != tensor.shape:
             got = grads[name].shape if name in grads else None
@@ -545,7 +510,7 @@ def optimizer_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        params.tensors[name] -= config.learning_rate * (m / bias1) / (
+        params.tensors[name] -= lr * (m / bias1) / (
             np.sqrt(v / bias2) + ADAM_EPS
         )
 
@@ -564,8 +529,14 @@ class TrainConfig:
     d: int = 32
     seed: int = 0
     key_k: int = 2
+    lr_schedule: str = "constant"  # one of LR_SCHEDULES
     flags: AblationFlags = field(default_factory=AblationFlags)
     clip_norm: ClassVar[float] = 5.0  # a constant, not a config key
+
+
+# "linear" decays the rate to learning_rate / T at the last of a stage's T
+# steps, which damps the late Adam spikes a constant rate can end a run on.
+LR_SCHEDULES = ("constant", "linear")
 
 
 @dataclass
@@ -600,10 +571,14 @@ def _train(
 ) -> ModelParams:
     """Train ``params`` in place on the examples, one clipped Adam step per
     example, reshuffled each epoch from the config seed; both stages run
-    here and differ only in their examples' loss specs and ``lam``."""
+    here and differ only in their examples' loss specs and ``lam``.
+
+    Step s of the stage's T steps takes the learning rate lr, or under the
+    ``linear`` schedule lr * (T - s + 1) / T."""
     state = init_adam_state(params)
     rng = np.random.default_rng(config.seed)
     memory_on = not config.flags.disable_memory
+    total = config.epochs * len(examples)
     step = 0
     for epoch in range(1, config.epochs + 1):
         epoch_mean = 0.0
@@ -622,7 +597,10 @@ def _train(
                 logger.info(
                     "step %d: clipped gradient norm %.3f -> %.1f", step, norm, config.clip_norm
                 )
-            optimizer_step(params, grads, state, config)
+            lr = config.learning_rate
+            if config.lr_schedule == "linear":
+                lr *= (total - step + 1) / total
+            optimizer_step(params, grads, state, config, lr)
             epoch_mean += (l_stage - epoch_mean) / i
             if log_fn is not None:
                 log_fn(StepRecord(step, epoch, l_gen, l_comp, lam, l_stage))

@@ -72,9 +72,10 @@ def _recall_accuracy(workdir, seed, disable_memory):
     period = vocab.id_of(".")
     # One memory-off epoch first: Adam moments settle on the token statistics
     # before the recurrent memory path starts feeding back into the inputs.
+    # Both stages decay the rate linearly (see the overfit criterion).
     warm = TrainConfig(
         learning_rate=0.005, epochs=1, l_chunk=16,
-        d=32, seed=seed, key_k=0,
+        d=32, seed=seed, key_k=0, lr_schedule="linear",
         flags=AblationFlags(disable_memory=True, disable_key_extraction=True),
     )
     main = replace(
@@ -218,8 +219,11 @@ class TestAcceptance:
         write_dataset(path, generate_synthetic_corpus(0, 1))
         vocab = build_vocab(dataset_token_streams(path), 1)
         data = load_dataset(path, vocab)
+        # Under a constant rate, late Adam spikes decide the last loss: runs
+        # whose rates differ in the 15th digit ended above 0.1 in 2 or 3 of 8.
+        # The linear decay ends every such run near 0.035.
         config = TrainConfig(
-            learning_rate=0.05, epochs=500, l_chunk=16, d=16, seed=0
+            learning_rate=0.05, epochs=500, l_chunk=16, d=16, seed=0, lr_schedule="linear"
         )
         losses = []
         t0 = time.perf_counter()

@@ -3,12 +3,14 @@
 import contextlib
 import io
 import json
+import re
 import struct
 import warnings
 from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import compsum
@@ -16,6 +18,7 @@ from compsum import cli
 from compsum.cli import _CONFIG_KEYS, GRADCHECK_TOLERANCE, RunConfig, load_config, run
 from compsum.errors import ConfigError
 from compsum.model import AblationFlags, load_checkpoint
+from compsum.training import StepRecord
 
 
 def write_config(directory, name="run.cfg", **keys):
@@ -54,11 +57,12 @@ class TestLoadConfig:
 
     def test_typed_values_parsed(self, tmp_path):
         cfg = load_config(write_config(
-            tmp_path, stage="comparative", lr="0.01", epochs="7",
+            tmp_path, stage="comparative", lr="0.01", epochs="7", lr_schedule="linear",
             disable_memory="true", disable_comparative="false", data="x.jsonl",
         ))
         assert cfg.stage == "comparative"
         assert cfg.learning_rate == 0.01
+        assert cfg.lr_schedule == "linear"
         assert cfg.epochs == 7
         assert cfg.flags.disable_memory is True
         assert cfg.flags.disable_comparative is False
@@ -100,6 +104,8 @@ class TestLoadConfig:
             ("lr=0", "lr"),
             ("lr=inf", "lr"),
             ("epochs=-1", "epochs"),
+            ("lr_schedule=cosine", "lr_schedule"),
+            ("lr_schedule=Linear", "lr_schedule"),
             ("lambda=-0.5", "lambda"),
             ("lambda=inf", "lambda"),
             ("seed=-1", "seed"),
@@ -427,6 +433,10 @@ class TestPipeline:
         for name in ("p_data.jsonl", "p_vocab.txt", "p.ckpt", "p_report.jsonl"):
             assert (tmp_path / name).exists()
 
+    def test_final_epoch_mean_sums_left_to_right(self):
+        records = [StepRecord(i, 1, v, 0.0, 0.0, v) for i, v in enumerate((1e16, 1.0, -1e16), 1)]
+        assert cli._final_epoch_mean(records, 1, "l_gen") == 0.0
+
     def test_stage_label_on_failure(self, tmp_path):
         cfg = self._config(tmp_path, data=str(tmp_path / "no_such_dir" / "d.jsonl"))
         code, _, err = invoke(["pipeline", "--config", cfg])
@@ -450,7 +460,7 @@ class TestPipeline:
     def test_extreme_integers_never_end_in_a_traceback(self, tmp_path, key, value):
         # epochs, max_len and synth_count are left out: a huge value of
         # theirs is a legitimately long run.  d=2**32 asks for over a
-        # terabyte, which malloc refuses.
+        # terabyte, which the size check refuses.
         keys = dict(synth_count="2", d="2", epochs="0", max_len="4")
         keys[key] = value
         code, _, err = invoke(["pipeline", "--config", self._config(tmp_path, **keys)])
@@ -459,13 +469,29 @@ class TestPipeline:
 
     @pytest.mark.parametrize("d", ["1000000000000000", "100000000000000000"])
     def test_unallocatable_model_size_exits_2(self, tmp_path, d):
-        # Both sizes exceed any address space, so no allocation can succeed:
-        # the first is refused by malloc, the second by numpy's size check.
+        # Both sizes exceed any address space, so no allocation can succeed.
         code, out, err = invoke(["pipeline", "--config", self._config(tmp_path, d=d)])
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: pipeline stage 'pretrain': out of memory: ")
+
+    def test_model_size_checked_before_allocation(self, tmp_path, monkeypatch):
+        # 2**32 fits a 64-bit address space, so an allocator with overcommit
+        # could grant it; no draw may start before the size check.
+        def no_draws(*args, **kwargs):
+            raise AssertionError("parameters drawn before the size check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        code, out, err = invoke(["pipeline", "--config", self._config(tmp_path, d=str(2**32))])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert re.fullmatch(
+            r"error: pipeline stage 'pretrain': out of memory: model of d=4294967296, V=\d+ "
+            r"needs \d+ bytes, more than the \d+ bytes of physical memory\n",
+            err,
+        )
 
 
 class TestExports:
@@ -477,7 +503,7 @@ class TestExports:
         flags = [("flags", f.name) for f in fields(AblationFlags)]
         own = [(f.name,) for f in fields(RunConfig) if f.name != "flags"]
         assert sorted(paths) == sorted(own + flags)
-        assert len(_CONFIG_KEYS) == 22
+        assert len(_CONFIG_KEYS) == 23
         assert _CONFIG_KEYS["lambda"][0] == ("lam",)
         assert _CONFIG_KEYS["lr"][0] == ("learning_rate",)
         assert _CONFIG_KEYS["disable_memory"][0] == ("flags", "disable_memory")

@@ -1,7 +1,8 @@
 """The vectorised forward, backward and decoding passes against the
 position-by-position oracle in ``token_loop_oracle.py``: every trace array,
-memory update, gradient tensor, logit and decoded token must be bitwise
-equal."""
+memory update, logit and decoded token must be bitwise equal.  The backward
+pass sums over positions by matrix products, in another order than the
+oracle's loop, so its gradients must agree to rtol 1e-12."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import token_loop_oracle as oracle
 from compsum import model, training
 from compsum.corpus import BOS, EOS, chunk
 from compsum.model import AblationFlags, forward, greedy_decode, init_params, sigmoid
-from compsum.training import LossSpec, _add_in_order, _backward_stream, backward
+from compsum.training import LossSpec, _backward_stream, backward
 
 # d=10: gate matrices whose row count is not a multiple of the BLAS kernels'
 # row blocks, where a stacked [W_z; W_r; W_h] product would round differently.
@@ -37,10 +38,11 @@ def _flags(memory_on):
     return AblationFlags(disable_memory=not memory_on)
 
 
-def _assert_grads_equal(got, want):
+def _assert_grads_close(got, want):
     assert set(got) == set(want)
     for name in want:
-        assert np.array_equal(got[name], want[name]), name
+        atol = 1e-13 * np.abs(want[name]).max()
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=atol, err_msg=name)
 
 
 def _random_grads(params, seed):
@@ -58,20 +60,6 @@ class TestActivationAndSum:
                 arrays.append(rng.normal(size=size) * scale)
         for x in arrays:
             assert np.array_equal(sigmoid(x), oracle.masked_sigmoid(x), equal_nan=True)
-
-    @pytest.mark.parametrize("shape", [(1,), (5,), (32,), (1, 1), (3, 3), (32, 32)])
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33, 130])
-    def test_add_in_order_equals_loop(self, shape, n):
-        rng = np.random.default_rng(n)
-        scales = 10.0 ** rng.integers(-8, 8, size=(n,) + (1,) * len(shape))
-        terms = rng.normal(size=(n,) + shape) * scales
-        start = rng.normal(size=shape)
-        loop = start.copy()
-        for term in terms:
-            loop += term
-        acc = start.copy()
-        _add_in_order(acc, terms.copy())
-        assert np.array_equal(acc, loop)
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -104,7 +92,20 @@ class TestStreamPasses:
         want = {k: v.copy() for k, v in got.items()}
         _backward_stream(params, trace, got, dlogits=dlogits)
         oracle.backward_stream(params, trace, want, dlogits=dlogits)
-        _assert_grads_equal(got, want)
+        _assert_grads_close(got, want)
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_memory_off_gradients_do_not_depend_on_chunking(d):
+    params, context, target, _ = _example(d, 6)
+    grads = []
+    for l_chunk in CHUNK_SIZES:
+        trace = forward(params, _chunks(context, l_chunk), target, _flags(False))
+        _, dlogits, _ = training._generation_loss_and_dlogits(trace.logits, np.asarray(target))
+        grads.append(params.zeros_like())
+        _backward_stream(params, trace, grads[-1], dlogits=dlogits)
+    for other in grads[1:]:
+        _assert_grads_close(other, grads[0])
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -119,7 +120,7 @@ def test_generation_and_contrastive_gradients(d, memory_on, monkeypatch):
     monkeypatch.setattr(model, "_run_stream", oracle.run_stream)
     monkeypatch.setattr(training, "_backward_stream", oracle.backward_stream)
     want = backward(forward(params, chunks, target, _flags(memory_on)), params, spec)
-    _assert_grads_equal(got, want)
+    _assert_grads_close(got, want)
 
 
 @pytest.mark.parametrize("d", DIMS)

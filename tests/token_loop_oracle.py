@@ -4,7 +4,8 @@ accumulation happens inside the token loop.
 
 compsum.model and compsum.training take the input projections, input
 gradients and weight gradients out of that loop.  The tests in
-``test_token_loop.py`` require them to reproduce these passes bit for bit.
+``test_token_loop.py`` require them to reproduce the forward and decoding
+passes bit for bit, and the gradients to rtol 1e-12.
 """
 
 from __future__ import annotations
