@@ -40,7 +40,6 @@ from .model import (
     save_checkpoint,
 )
 from .training import (
-    LR_SCHEDULES,
     StepRecord,
     TrainConfig,
     finite_difference_check,
@@ -124,7 +123,6 @@ def _validate(config: RunConfig) -> RunConfig:
         ("lr", math.isfinite(config.learning_rate) and config.learning_rate > 0,
          "must be finite and > 0"),
         ("epochs", config.epochs >= 0, "must be >= 0"),
-        ("lr_schedule", config.lr_schedule in LR_SCHEDULES, "must be constant or linear"),
         ("lambda", math.isfinite(config.lam) and config.lam >= 0, "must be finite and >= 0"),
         ("seed", config.seed >= 0, "must be >= 0"),
         ("key_k", config.key_k >= 0, "must be >= 0"),

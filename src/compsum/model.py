@@ -99,15 +99,24 @@ def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
         raise DimensionMismatch(f"bad model size d={d}, V={V}")
     shapes = tensor_shapes(d, V)
     # Checked before drawing: an allocator may grant more than fits in memory.
+    # Where the OS does not report its memory (no os.sysconf), or a cgroup
+    # limit is lower, the allocator and numpy's size check refuse instead.
     size = 8 * sum(math.prod(shape) for shape in shapes.values())
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if size > physical:
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        physical = None
+    if physical is not None and size > physical:
         raise MemoryError(
             f"model of d={d}, V={V} needs {size} bytes, more than the {physical} bytes "
             "of physical memory"
         )
     rng = np.random.default_rng(seed)
-    tensors = {name: rng.uniform(-scale, scale, shapes[name]) for name in TENSOR_NAMES}
+    try:
+        tensors = {name: rng.uniform(-scale, scale, shapes[name]) for name in TENSOR_NAMES}
+    except ValueError:
+        # numpy refuses shapes whose byte count overflows its index type
+        raise MemoryError(f"model of d={d}, V={V} is too large to allocate") from None
     return ModelParams(d, V, tensors)
 
 

@@ -291,8 +291,9 @@ def _backward_stream(
         dx = da[start:end] @ W_zrh
         np.add.at(grads["E"], ids[start:end], dx)
         if memory_on:
-            # Summed in the order of a position-by-position sweep.
-            _add_in_order(d_mem, dx)
+            # Added last position first, the order of a position-by-position
+            # sweep (tests/token_loop_oracle.py).
+            _add_in_order(d_mem, dx[::-1])
             if ri > 0:
                 update = trace.updates[ri - 1]
                 us, ue = update.span
@@ -501,15 +502,10 @@ def clip_gradients(grads: Gradients, max_norm: float) -> float:
 
 
 def optimizer_step(
-    params: ModelParams,
-    grads: Gradients,
-    opt_state: AdamState,
-    config: "TrainConfig",
-    lr: float | None = None,
+    params: ModelParams, grads: Gradients, opt_state: AdamState, config: "TrainConfig"
 ) -> None:
-    """One Adam update in place at ``lr``, by default ``config.learning_rate``;
-    increments the step counter by 1."""
-    lr = config.learning_rate if lr is None else lr
+    """One Adam update at ``config.learning_rate`` in place; increments the
+    step counter by 1."""
     for name, tensor in params.tensors.items():
         if name not in grads or grads[name].shape != tensor.shape:
             got = grads[name].shape if name in grads else None
@@ -526,7 +522,7 @@ def optimizer_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        params.tensors[name] -= lr * (m / bias1) / (
+        params.tensors[name] -= config.learning_rate * (m / bias1) / (
             np.sqrt(v / bias2) + ADAM_EPS
         )
 
@@ -545,14 +541,8 @@ class TrainConfig:
     d: int = 32
     seed: int = 0
     key_k: int = 2
-    lr_schedule: str = "constant"  # one of LR_SCHEDULES
     flags: AblationFlags = field(default_factory=AblationFlags)
     clip_norm: ClassVar[float] = 5.0  # a constant, not a config key
-
-
-# "linear" decays the rate to learning_rate / T at the last of a stage's T
-# steps, which damps the late Adam spikes a constant rate can end a run on.
-LR_SCHEDULES = ("constant", "linear")
 
 
 @dataclass
@@ -587,14 +577,10 @@ def _train(
 ) -> ModelParams:
     """Train ``params`` in place on the examples, one clipped Adam step per
     example, reshuffled each epoch from the config seed; both stages run
-    here and differ only in their examples' loss specs and ``lam``.
-
-    Step s of the stage's T steps takes the learning rate lr, or under the
-    ``linear`` schedule lr * (T - s + 1) / T."""
+    here and differ only in their examples' loss specs and ``lam``."""
     state = init_adam_state(params)
     rng = np.random.default_rng(config.seed)
     memory_on = not config.flags.disable_memory
-    total = config.epochs * len(examples)
     step = 0
     for epoch in range(1, config.epochs + 1):
         epoch_mean = 0.0
@@ -613,10 +599,7 @@ def _train(
                 logger.info(
                     "step %d: clipped gradient norm %.3f -> %.1f", step, norm, config.clip_norm
                 )
-            lr = config.learning_rate
-            if config.lr_schedule == "linear":
-                lr *= (total - step + 1) / total
-            optimizer_step(params, grads, state, config, lr)
+            optimizer_step(params, grads, state, config)
             epoch_mean += (l_stage - epoch_mean) / i
             if log_fn is not None:
                 log_fn(StepRecord(step, epoch, l_gen, l_comp, lam, l_stage))

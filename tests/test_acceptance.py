@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from compsum import training
 from compsum.corpus import (
     FACT_MARKER,
     assemble_context,
@@ -32,6 +33,7 @@ from compsum.training import (
     comparative_loss,
     finite_difference_check,
     gradcheck_probe,
+    optimizer_step,
     stage_loss,
     train_pretrain,
 )
@@ -57,13 +59,30 @@ def _brute_force_lcs(a, b):
     return 0
 
 
+def _decay_rate_linearly(monkeypatch, n_examples):
+    """Train each stage at lr * (T - s + 1) / T at its step s of T = epochs *
+    n_examples.  The two learning criteria train this way: under the
+    program's constant rate, late Adam spikes decide their last figures, and
+    runs whose rates differ in the 15th digit passed or failed by chance."""
+
+    def decayed(params, grads, state, config):
+        total = config.epochs * n_examples
+        rate = config.learning_rate * ((total - state.step) / total)
+        optimizer_step(params, grads, state, replace(config, learning_rate=rate))
+
+    monkeypatch.setattr(training, "optimizer_step", decayed)
+
+
+RECALL_TRAIN_EXAMPLES = 200
+
+
 def _recall_accuracy(workdir, seed, disable_memory):
     """Key-fact recall on held-out examples: the fact appears once in the
     first document and must be reproduced in the summary, at least two
     chunks later.  Returns (accuracy, training seconds)."""
     train_path = str(workdir / f"recall_train_{seed}.jsonl")
     eval_path = str(workdir / f"recall_eval_{seed}.jsonl")
-    write_dataset(train_path, generate_synthetic_corpus(seed, 200, (2, 2)))
+    write_dataset(train_path, generate_synthetic_corpus(seed, RECALL_TRAIN_EXAMPLES, (2, 2)))
     vocab = build_vocab(dataset_token_streams(train_path), 1)
     train = load_dataset(train_path, vocab)
     write_dataset(eval_path, generate_synthetic_corpus(1000 + seed, 50, (2, 2)))
@@ -72,10 +91,9 @@ def _recall_accuracy(workdir, seed, disable_memory):
     period = vocab.id_of(".")
     # One memory-off epoch first: Adam moments settle on the token statistics
     # before the recurrent memory path starts feeding back into the inputs.
-    # Both stages decay the rate linearly (see the overfit criterion).
     warm = TrainConfig(
         learning_rate=0.005, epochs=1, l_chunk=16,
-        d=32, seed=seed, key_k=0, lr_schedule="linear",
+        d=32, seed=seed, key_k=0,
         flags=AblationFlags(disable_memory=True, disable_key_extraction=True),
     )
     main = replace(
@@ -195,7 +213,8 @@ class TestAcceptance:
             f"with memory disabled: {identical}",
         )
 
-    def test_memory_improves_cross_chunk_recall(self, tmp_path):
+    def test_memory_improves_cross_chunk_recall(self, tmp_path, monkeypatch):
+        _decay_rate_linearly(monkeypatch, RECALL_TRAIN_EXAMPLES)
         results = []
         worst_seconds = 0.0
         for seed in (0, 1, 2):
@@ -214,16 +233,14 @@ class TestAcceptance:
             f"{detail} (slowest training run {worst_seconds:.0f}s)",
         )
 
-    def test_single_example_overfit(self, tmp_path):
+    def test_single_example_overfit(self, tmp_path, monkeypatch):
         path = str(tmp_path / "one.jsonl")
         write_dataset(path, generate_synthetic_corpus(0, 1))
         vocab = build_vocab(dataset_token_streams(path), 1)
         data = load_dataset(path, vocab)
-        # Under a constant rate, late Adam spikes decide the last loss: runs
-        # whose rates differ in the 15th digit ended above 0.1 in 2 or 3 of 8.
-        # The linear decay ends every such run near 0.035.
+        _decay_rate_linearly(monkeypatch, len(data))
         config = TrainConfig(
-            learning_rate=0.05, epochs=500, l_chunk=16, d=16, seed=0, lr_schedule="linear"
+            learning_rate=0.05, epochs=500, l_chunk=16, d=16, seed=0
         )
         losses = []
         t0 = time.perf_counter()

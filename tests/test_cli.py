@@ -57,12 +57,11 @@ class TestLoadConfig:
 
     def test_typed_values_parsed(self, tmp_path):
         cfg = load_config(write_config(
-            tmp_path, stage="comparative", lr="0.01", epochs="7", lr_schedule="linear",
+            tmp_path, stage="comparative", lr="0.01", epochs="7",
             disable_memory="true", disable_comparative="false", data="x.jsonl",
         ))
         assert cfg.stage == "comparative"
         assert cfg.learning_rate == 0.01
-        assert cfg.lr_schedule == "linear"
         assert cfg.epochs == 7
         assert cfg.flags.disable_memory is True
         assert cfg.flags.disable_comparative is False
@@ -104,8 +103,6 @@ class TestLoadConfig:
             ("lr=0", "lr"),
             ("lr=inf", "lr"),
             ("epochs=-1", "epochs"),
-            ("lr_schedule=cosine", "lr_schedule"),
-            ("lr_schedule=Linear", "lr_schedule"),
             ("lambda=-0.5", "lambda"),
             ("lambda=inf", "lambda"),
             ("seed=-1", "seed"),
@@ -503,7 +500,7 @@ class TestExports:
         flags = [("flags", f.name) for f in fields(AblationFlags)]
         own = [(f.name,) for f in fields(RunConfig) if f.name != "flags"]
         assert sorted(paths) == sorted(own + flags)
-        assert len(_CONFIG_KEYS) == 23
+        assert len(_CONFIG_KEYS) == 22
         assert _CONFIG_KEYS["lambda"][0] == ("lam",)
         assert _CONFIG_KEYS["lr"][0] == ("learning_rate",)
         assert _CONFIG_KEYS["disable_memory"][0] == ("flags", "disable_memory")

@@ -1,6 +1,7 @@
 """Tests for the recurrent cell, the cross-chunk attention memory, forward
 passes, decoding, and checkpoint serialization."""
 
+import os
 import struct
 
 import numpy as np
@@ -183,6 +184,16 @@ class TestInitParams:
         for V in (2, 6):
             with pytest.raises(DimensionMismatch):
                 init_params(4, V, 0)
+
+    def test_without_sysconf_the_size_check_is_skipped(self, monkeypatch):
+        want = init_params(4, 11, 7)
+        monkeypatch.delattr(os, "sysconf", raising=False)
+        got = init_params(4, 11, 7)
+        assert all(np.array_equal(want[k], got[k]) for k in want.tensors)
+        # past any address space the allocator or numpy's size check refuses
+        for d in (10**15, 10**18):
+            with pytest.raises(MemoryError):
+                init_params(d, 11, 7)
 
 
 class TestForward:

@@ -28,7 +28,7 @@ from compsum.errors import (
     ShapeMismatch,
     StaleTrace,
 )
-from compsum import model, training
+from compsum import model
 from compsum.model import AblationFlags, ForwardTrace, forward, init_params
 from compsum.training import (
     AdamState,
@@ -341,33 +341,6 @@ class TestTrainingLoops:
         assert [r.step for r in records] == list(range(1, len(records) + 1))
         assert {r.epoch for r in records} == {1, 2}
         assert all(r.lam == 0.0 and r.l_stage == r.l_gen for r in records)
-
-    def _rates_and_log(self, tiny_data, monkeypatch, **kw):
-        """The learning rate of every optimizer step, and the step log."""
-        corpus, vocab = tiny_data
-        rates, records = [], []
-
-        def recording(params, grads, state, config, lr=None):
-            rates.append(lr)
-            optimizer_step(params, grads, state, config, lr)
-
-        monkeypatch.setattr(training, "optimizer_step", recording)
-        train_pretrain(corpus, self._config(epochs=2, **kw), vocab, log_fn=records.append)
-        return rates, records
-
-    def test_linear_schedule_decays_from_lr_to_lr_over_t(self, tiny_data, monkeypatch):
-        rates, _ = self._rates_and_log(tiny_data, monkeypatch, lr_schedule="linear")
-        steps = 2 * len(tiny_data[0])
-        assert len(rates) == steps
-        assert rates[0] == 0.01
-        assert rates[-1] == pytest.approx(0.01 / steps, rel=1e-15)
-        assert all(a > b for a, b in zip(rates, rates[1:]))
-
-    def test_constant_schedule_is_the_default(self, tiny_data, monkeypatch):
-        rates, records = self._rates_and_log(tiny_data, monkeypatch)
-        explicit = self._rates_and_log(tiny_data, monkeypatch, lr_schedule="constant")
-        assert rates == [0.01] * 2 * len(tiny_data[0])
-        assert (rates, records) == explicit
 
     def test_empty_corpus_rejected(self, tiny_data):
         _, vocab = tiny_data
