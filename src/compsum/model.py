@@ -201,21 +201,6 @@ def recurrent_cell(params: ModelParams, h_prev: np.ndarray, x: np.ndarray) -> np
     return cell.step(h_prev, cell.project(x[None])[0])[0]
 
 
-@dataclass
-class MemoryUpdateTrace:
-    """Everything produced by one memory update, for exact replay."""
-
-    span: tuple[int, int]  # positions of the source region in the stream
-    mem_prev: np.ndarray
-    q: np.ndarray
-    ks: np.ndarray  # (m, d)
-    vs: np.ndarray  # (m, d)
-    alpha: np.ndarray  # (m,)
-    attended: np.ndarray
-    gate: np.ndarray
-    mem_new: np.ndarray
-
-
 def memory_update(
     params: ModelParams, mem_prev: np.ndarray, hiddens: np.ndarray
 ) -> np.ndarray:
@@ -253,13 +238,33 @@ def _attend(
 
 
 @dataclass
+class MemoryTrace:
+    """The memory path of one forward pass, as arrays indexed by region.
+
+    ``mems[i]`` is the memory in effect while region i is processed (zeros
+    for the first region).  Every region but the last feeds one update:
+    update i attends over region i with query ``qs[i]`` and blends
+    ``attended[i]`` into ``mems[i]`` by ``gates[i]``, giving ``mems[i + 1]``.
+    ``ks``, ``vs`` and ``alphas`` have one row per stream position before
+    the last region, so region i's rows are its span.
+    """
+
+    mems: np.ndarray  # (R, d)
+    qs: np.ndarray  # (R - 1, d)
+    ks: np.ndarray  # (n, d)
+    vs: np.ndarray  # (n, d)
+    alphas: np.ndarray  # (n,)
+    attended: np.ndarray  # (R - 1, d)
+    gates: np.ndarray  # (R - 1, d)
+
+
+@dataclass
 class ForwardTrace:
     """Complete record of one forward pass over a token stream.
 
     Positions are stream indices.  ``region_spans[i]`` is the half-open span
-    of region i; ``region_mems[i]`` is the memory vector in effect while
-    region i was processed (zeros for the first region, and everywhere when
-    the memory is disabled).  ``logits[j]`` scores the token following stream
+    of region i.  ``memory`` records the memory path, or is None when the
+    memory is disabled.  ``logits[j]`` scores the token following stream
     position ``logits_start + j``.
     """
 
@@ -270,11 +275,9 @@ class ForwardTrace:
     zs: np.ndarray
     rs: np.ndarray
     h_cands: np.ndarray
-    region_mems: list[np.ndarray]
-    updates: list[MemoryUpdateTrace]
+    memory: MemoryTrace | None
     logits: np.ndarray  # (T, V)
     logits_start: int
-    memory_enabled: bool
 
 
 def _check_token_ids(ids: np.ndarray, V: int) -> None:
@@ -315,29 +318,31 @@ def _run_stream(
     hs = np.empty((S, d))
     zrs = np.empty((S, 2 * d))
     h_cands = np.empty((S, d))
-    region_mems: list[np.ndarray] = []
-    updates: list[MemoryUpdateTrace] = []
-    mem = np.zeros(d)
+    memory = None
+    if memory_on:
+        R, n = len(region_spans), region_spans[-1][0]
+        memory = m = MemoryTrace(
+            np.zeros((R, d)), np.empty((R - 1, d)), np.empty((n, d)), np.empty((n, d)),
+            np.empty(n), np.empty((R - 1, d)), np.empty((R - 1, d)),
+        )
     h = np.zeros(d)
-    for start, end in region_spans:
-        region_mems.append(mem)
+    for i, (start, end) in enumerate(region_spans):
         if memory_on:
-            xs[start:end] += mem
+            xs[start:end] += m.mems[i]
         # cell.project works row by row, so the projections do not depend on
         # the region layout: memory-off outputs stay chunking-invariant.
         for p, x_proj in zip(range(start, end), cell.project(xs[start:end])):
             h, zrs[p], h_cands[p] = cell.step(h, x_proj)
             hs[p] = h
         if memory_on and end < S:
-            update = MemoryUpdateTrace((start, end), mem, *_attend(params, mem, hs[start:end]))
-            updates.append(update)
-            mem = update.mem_new
+            (m.qs[i], m.ks[start:end], m.vs[start:end], m.alphas[start:end], m.attended[i],
+             m.gates[i], m.mems[i + 1]) = _attend(params, m.mems[i], hs[start:end])
     n_logits = S - logits_start
     logits = hs[logits_start:] @ t["W_o"].T + t["b_o"][None, :]
     assert logits.shape == (n_logits, V)
     return ForwardTrace(
         list(input_ids), list(region_spans), xs, hs, zrs[:, :d], zrs[:, d:], h_cands,
-        region_mems, updates, logits, logits_start, memory_on,
+        memory, logits, logits_start,
     )
 
 

@@ -38,7 +38,6 @@ from .errors import (
 from .model import (
     AblationFlags,
     ForwardTrace,
-    MemoryUpdateTrace,
     ModelParams,
     _chunk_layout,
     _encode_traced,
@@ -181,30 +180,37 @@ def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
 
 def _memory_update_backward(
     params: ModelParams,
-    update: MemoryUpdateTrace,
-    hiddens: np.ndarray,
+    trace: ForwardTrace,
+    i: int,
     d_new: np.ndarray,
     grads: Gradients,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop one memory update; returns (d_mem_prev, d_hiddens)."""
+    """Backprop the memory update that folds region i into the memory;
+    returns (d_mem_prev, d_hiddens) for the memory in effect in region i and
+    that region's hidden states."""
     t = params.tensors
     d = params.d
-    dg = d_new * (update.attended - update.mem_prev)
-    d_att = d_new * update.gate
-    d_mem_prev = d_new * (1.0 - update.gate)
-    dg_pre = dg * update.gate * (1.0 - update.gate)
-    grads["W_g"] += np.outer(dg_pre, np.concatenate([update.mem_prev, update.attended]))
+    m = trace.memory
+    start, end = trace.region_spans[i]
+    mem_prev, attended, gate = m.mems[i], m.attended[i], m.gates[i]
+    alpha, ks, vs = m.alphas[start:end], m.ks[start:end], m.vs[start:end]
+    hiddens = trace.hs[start:end]
+    dg = d_new * (attended - mem_prev)
+    d_att = d_new * gate
+    d_mem_prev = d_new * (1.0 - gate)
+    dg_pre = dg * gate * (1.0 - gate)
+    grads["W_g"] += np.outer(dg_pre, np.concatenate([mem_prev, attended]))
     grads["b_g"] += dg_pre
     du = t["W_g"].T @ dg_pre
     d_mem_prev += du[:d]
     d_att = d_att + du[d:]
-    dalpha = update.vs @ d_att
-    dvs = np.outer(update.alpha, d_att)
-    dscores = update.alpha * (dalpha - update.alpha @ dalpha)
+    dalpha = vs @ d_att
+    dvs = np.outer(alpha, d_att)
+    dscores = alpha * (dalpha - alpha @ dalpha)
     inv_sqrt_d = 1.0 / np.sqrt(d)
-    dq = (update.ks.T @ dscores) * inv_sqrt_d
-    dks = np.outer(dscores, update.q) * inv_sqrt_d
-    grads["W_q"] += np.outer(dq, update.mem_prev)
+    dq = (ks.T @ dscores) * inv_sqrt_d
+    dks = np.outer(dscores, m.qs[i]) * inv_sqrt_d
+    grads["W_q"] += np.outer(dq, mem_prev)
     d_mem_prev += t["W_q"].T @ dq
     grads["W_k"] += dks.T @ hiddens
     grads["W_v"] += dvs.T @ hiddens
@@ -256,7 +262,7 @@ def _backward_stream(
         grads["W_o"] += dlogits.T @ trace.hs[start:]
         grads["b_o"] += dlogits.sum(axis=0)
         dhs[start:] += dlogits @ t["W_o"]
-    memory_on = trace.memory_enabled
+    memory_on = trace.memory is not None
     # Without the memory no gradient crosses a region boundary other than
     # along the chain, so the whole stream is one region.
     spans = trace.region_spans if memory_on else [(0, S)]
@@ -295,12 +301,8 @@ def _backward_stream(
             # sweep (tests/token_loop_oracle.py).
             _add_in_order(d_mem, dx[::-1])
             if ri > 0:
-                update = trace.updates[ri - 1]
-                us, ue = update.span
-                d_mem, d_hiddens = _memory_update_backward(
-                    params, update, trace.hs[us:ue], d_mem, grads
-                )
-                dhs[us:ue] += d_hiddens
+                d_mem, d_hiddens = _memory_update_backward(params, trace, ri - 1, d_mem, grads)
+                dhs[slice(*spans[ri - 1])] += d_hiddens
     dW = da.T @ trace.xs
     dU = np.concatenate([da_zr.T @ h_prevs, da_h.T @ (rs * h_prevs)])
     db = da.sum(axis=0)

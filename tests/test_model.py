@@ -229,24 +229,29 @@ class TestForward:
         chunks = chunk(context, 4)
         multi = forward(params, chunks, target)
         # every context chunk folds in once; the target region never does
-        assert len(multi.updates) == len(chunks)
         assert len(multi.region_spans) == len(chunks) + 1
+        memory = multi.memory
+        assert memory.mems.shape == (len(chunks) + 1, params.d)
+        for rows in (memory.qs, memory.attended, memory.gates):
+            assert rows.shape == (len(chunks), params.d)
+        n = multi.region_spans[-1][0]
+        assert memory.ks.shape == memory.vs.shape == (n, params.d)
+        assert memory.alphas.shape == (n,)
         single = forward(params, chunks, target[:1])
-        assert len(single.updates) == len(chunks) - 1
+        assert single.memory.qs.shape == (len(chunks) - 1, params.d)
         assert single.logits.shape[0] == 1
 
     def test_first_region_memory_is_zero(self):
         params, context, target = self._setup(4)
         trace = forward(params, chunk(context, 4), target)
-        assert np.array_equal(trace.region_mems[0], np.zeros(params.d))
-        assert trace.updates[0].alpha.shape == (4,)
-        assert_allclose(trace.updates[0].alpha.sum(), 1.0, rtol=1e-12)
+        assert np.array_equal(trace.memory.mems[0], np.zeros(params.d))
+        for start, end in trace.region_spans[:-1]:
+            assert_allclose(trace.memory.alphas[start:end].sum(), 1.0, rtol=1e-12)
 
     def test_memory_disabled_trace_has_no_updates(self):
         params, context, target = self._setup(5)
         trace = forward(params, chunk(context, 4), target, AblationFlags(disable_memory=True))
-        assert trace.updates == []
-        assert all(np.array_equal(m, np.zeros(params.d)) for m in trace.region_mems)
+        assert trace.memory is None
 
     def test_validation(self):
         params, context, target = self._setup(6)

@@ -63,11 +63,10 @@ def _oracle_start(params, chunks, memory_on):
     position at a time."""
     ids, spans = model._chunk_layout(chunks)
     trace = oracle.run_stream(params, ids, spans, memory_on, len(ids))
-    mem = trace.region_mems[-1]
-    if memory_on:
-        last = spans[-1]
-        mem = oracle.memory_update(params, last, mem, trace.hs[last[0] :]).mem_new
-    return trace.hs[-1], mem
+    if not memory_on:
+        return trace.hs[-1], np.zeros(params.d)
+    last = spans[-1][0]
+    return trace.hs[-1], oracle.memory_update(params, trace.memory.mems[-1], trace.hs[last:])[-1]
 
 
 def _assert_starts_equal(params, contexts, memory_on, got):
@@ -131,11 +130,11 @@ def test_batched_memory_update_equals_single_calls(d, m):
     batched = model._attend(params, mems, regions)
     for i in range(9):
         single = model._attend(params, mems[i], regions[i])
-        want = oracle.memory_update(params, (0, m), mems[i], regions[i])
-        for name, rows, row in zip(ATTEND_FIELDS, batched, single):
-            assert np.array_equal(rows[i], getattr(want, name)), name
-            assert np.array_equal(row, getattr(want, name)), name
-        assert np.array_equal(model.memory_update(params, mems[i], regions[i]), want.mem_new)
+        want = oracle.memory_update(params, mems[i], regions[i])
+        for name, rows, row, value in zip(ATTEND_FIELDS, batched, single, want):
+            assert np.array_equal(rows[i], value), name
+            assert np.array_equal(row, value), name
+        assert np.array_equal(model.memory_update(params, mems[i], regions[i]), want[-1])
 
 
 @pytest.mark.parametrize("d", DIMS)

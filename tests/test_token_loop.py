@@ -1,8 +1,11 @@
 """The vectorised forward, backward and decoding passes against the
-position-by-position oracle in ``token_loop_oracle.py``: every trace array,
-memory update, logit and decoded token must be bitwise equal.  The backward
-pass sums over positions by matrix products, in another order than the
-oracle's loop, so its gradients must agree to rtol 1e-12."""
+position-by-position oracle in ``token_loop_oracle.py``: every field of the
+forward trace and of its memory record, every logit and every decoded token
+must be bitwise equal.  The backward pass sums over positions by matrix
+products, in another order than the oracle's loop, so its gradients must
+agree to rtol 1e-12."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,8 +20,6 @@ from compsum.training import LossSpec, _add_in_order, _backward_stream, backward
 # row blocks, where a stacked [W_z; W_r; W_h] product would round differently.
 DIMS = (1, 6, 10, 32)
 CHUNK_SIZES = (1, 4, 16, None)  # None: the whole context in one chunk
-TRACE_FIELDS = ("xs", "hs", "zs", "rs", "h_cands", "logits")
-UPDATE_FIELDS = ("mem_prev", "q", "ks", "vs", "alpha", "attended", "gate", "mem_new")
 
 
 def _example(d, seed, V=23):
@@ -36,6 +37,16 @@ def _chunks(context, l_chunk):
 
 def _flags(memory_on):
     return AblationFlags(disable_memory=not memory_on)
+
+
+def _assert_fields_equal(got, want):
+    """Every field of two records is equal, nested records field by field."""
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if dataclasses.is_dataclass(a):
+            _assert_fields_equal(a, b)
+        else:
+            assert np.array_equal(a, b), f.name
 
 
 def _assert_grads_close(got, want):
@@ -86,16 +97,8 @@ class TestStreamPasses:
         ref = oracle.run_stream(
             params, trace.input_ids, trace.region_spans, memory_on, trace.logits_start
         )
-        for name in TRACE_FIELDS:
-            assert np.array_equal(getattr(trace, name), getattr(ref, name)), name
-        assert len(trace.region_mems) == len(ref.region_mems)
-        for got, want in zip(trace.region_mems, ref.region_mems):
-            assert np.array_equal(got, want)
-        assert len(trace.updates) == len(ref.updates)
-        for got, want in zip(trace.updates, ref.updates):
-            assert got.span == want.span
-            for name in UPDATE_FIELDS:
-                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (trace.memory is None) == (ref.memory is None) == (not memory_on)
+        _assert_fields_equal(trace, ref)
 
     def test_generation_gradients(self, d, memory_on, l_chunk):
         params, context, target, _ = _example(d, 2)

@@ -56,7 +56,7 @@ def logits_trace(logits):
     zeros = np.zeros((n, 1))
     return ForwardTrace(
         list(range(n)), [(0, n)], zeros, zeros, zeros, zeros, zeros,
-        [np.zeros(1)], [], np.asarray(logits, dtype=float), 0, False,
+        None, np.asarray(logits, dtype=float), 0,
     )
 
 

@@ -18,7 +18,7 @@ from compsum.corpus import BOS, EOS, PAD, Chunk
 from compsum.model import (
     AblationFlags,
     ForwardTrace,
-    MemoryUpdateTrace,
+    MemoryTrace,
     ModelParams,
     _chunk_layout,
     softmax,
@@ -49,11 +49,9 @@ def cell(
 
 
 def memory_update(
-    params: ModelParams,
-    span: tuple[int, int],
-    mem_prev: np.ndarray,
-    hiddens: np.ndarray,
-) -> MemoryUpdateTrace:
+    params: ModelParams, mem_prev: np.ndarray, hiddens: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """(q, ks, vs, alpha, attended, gate, mem_new) of one memory update."""
     t = params.tensors
     q = t["W_q"] @ mem_prev
     ks = hiddens @ t["W_k"].T
@@ -62,7 +60,7 @@ def memory_update(
     attended = alpha @ vs
     gate = masked_sigmoid(t["W_g"] @ np.concatenate([mem_prev, attended]) + t["b_g"])
     mem_new = (1.0 - gate) * mem_prev + gate * attended
-    return MemoryUpdateTrace(span, mem_prev, q, ks, vs, alpha, attended, gate, mem_new)
+    return q, ks, vs, alpha, attended, gate, mem_new
 
 
 def run_stream(
@@ -80,25 +78,27 @@ def run_stream(
     zs = np.zeros((S, d))
     rs = np.zeros((S, d))
     h_cands = np.zeros((S, d))
-    region_mems: list[np.ndarray] = []
-    updates: list[MemoryUpdateTrace] = []
+    R, n = len(region_spans), region_spans[-1][0]
+    mems = np.zeros((R, d))
+    qs, attended, gates = np.zeros((R - 1, d)), np.zeros((R - 1, d)), np.zeros((R - 1, d))
+    ks, vs, alphas = np.zeros((n, d)), np.zeros((n, d)), np.zeros(n)
     mem = np.zeros(d)
     h = np.zeros(d)
-    for start, end in region_spans:
-        region_mems.append(mem)
+    for i, (start, end) in enumerate(region_spans):
+        mems[i] = mem
         for p in range(start, end):
             tok = input_ids[p]
             x = t["E"][tok] + mem if memory_on else t["E"][tok]
             h, z, r, h_cand = cell(params, h, x)
             xs[p], hs[p], zs[p], rs[p], h_cands[p] = x, h, z, r, h_cand
         if memory_on and end < S:
-            update = memory_update(params, (start, end), mem, hs[start:end])
-            updates.append(update)
-            mem = update.mem_new
+            (qs[i], ks[start:end], vs[start:end], alphas[start:end], attended[i], gates[i],
+             mem) = memory_update(params, mem, hs[start:end])
+    memory = MemoryTrace(mems, qs, ks, vs, alphas, attended, gates) if memory_on else None
     logits = hs[logits_start:] @ t["W_o"].T + t["b_o"][None, :]
     return ForwardTrace(
         list(input_ids), list(region_spans), xs, hs, zs, rs, h_cands,
-        region_mems, updates, logits, logits_start, memory_on,
+        memory, logits, logits_start,
     )
 
 
@@ -120,7 +120,7 @@ def backward_stream(
         grads["W_o"] += dlogits.T @ trace.hs[start:]
         grads["b_o"] += dlogits.sum(axis=0)
         dhs[start:] += dlogits @ t["W_o"]
-    memory_on = trace.memory_enabled
+    memory_on = trace.memory is not None
     d_mem = np.zeros(d)
     dh_carry = np.zeros(d)
     dE = grads["E"]
@@ -157,11 +157,8 @@ def backward_stream(
                 d_mem += dx
             dh_carry = dh_prev
         if memory_on and ri > 0:
-            update = trace.updates[ri - 1]
-            us, ue = update.span
-            d_mem, d_hiddens = _memory_update_backward(
-                params, update, trace.hs[us:ue], d_mem, grads
-            )
+            d_mem, d_hiddens = _memory_update_backward(params, trace, ri - 1, d_mem, grads)
+            us, ue = trace.region_spans[ri - 1]
             dhs[us:ue] += d_hiddens
 
 
@@ -184,7 +181,7 @@ def decode(
             h = cell(params, h, x)[0]
             hiddens[p - start] = h
         if memory_on:
-            mem = memory_update(params, (start, end), mem, hiddens).mem_new
+            mem = memory_update(params, mem, hiddens)[-1]
     out: list[int] = []
     while len(out) < max_len:
         logits = t["W_o"] @ h + t["b_o"]
