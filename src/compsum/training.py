@@ -218,21 +218,6 @@ def _memory_update_backward(
     return d_mem_prev, d_hiddens
 
 
-def _add_in_order(acc: np.ndarray, terms: np.ndarray) -> None:
-    """``for term in terms: acc += term``, with that loop's roundings, in one
-    reduction; ``terms`` is overwritten.
-
-    numpy sums along axis 0 row after row, so the result is bitwise that of
-    the loop; a reduction over rows of one element would be summed pairwise.
-    """
-    if acc.size == 1:
-        for term in terms:
-            acc += term
-        return
-    terms[0] += acc
-    np.sum(terms, axis=0, out=acc)
-
-
 def _backward_stream(
     params: ModelParams,
     trace: ForwardTrace,
@@ -297,9 +282,7 @@ def _backward_stream(
         dx = da[start:end] @ W_zrh
         np.add.at(grads["E"], ids[start:end], dx)
         if memory_on:
-            # Added last position first, the order of a position-by-position
-            # sweep (tests/token_loop_oracle.py).
-            _add_in_order(d_mem, dx[::-1])
+            d_mem += dx.sum(axis=0)
             if ri > 0:
                 d_mem, d_hiddens = _memory_update_backward(params, trace, ri - 1, d_mem, grads)
                 dhs[slice(*spans[ri - 1])] += d_hiddens

@@ -14,7 +14,7 @@ import token_loop_oracle as oracle
 from compsum import model, training
 from compsum.corpus import BOS, EOS, chunk
 from compsum.model import AblationFlags, forward, greedy_decode, init_params, sigmoid
-from compsum.training import LossSpec, _add_in_order, _backward_stream, backward
+from compsum.training import LossSpec, _backward_stream, backward
 
 # d=10: gate matrices whose row count is not a multiple of the BLAS kernels'
 # row blocks, where a stacked [W_z; W_r; W_h] product would round differently.
@@ -71,20 +71,6 @@ class TestActivationAndSum:
                 arrays.append(rng.normal(size=size) * scale)
         for x in arrays:
             assert np.array_equal(sigmoid(x), oracle.masked_sigmoid(x), equal_nan=True)
-
-    @pytest.mark.parametrize("shape", [(1,), (5,), (32,), (1, 1), (3, 3), (32, 32)])
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 33, 130])
-    def test_add_in_order_equals_loop(self, shape, n):
-        rng = np.random.default_rng(n)
-        scales = 10.0 ** rng.integers(-8, 8, size=(n,) + (1,) * len(shape))
-        terms = rng.normal(size=(n,) + shape) * scales
-        start = rng.normal(size=shape)
-        loop = start.copy()
-        for term in terms:
-            loop += term
-        acc = start.copy()
-        _add_in_order(acc, terms.copy())
-        assert np.array_equal(acc, loop)
 
 
 @pytest.mark.parametrize("d", DIMS)
