@@ -52,7 +52,6 @@ from .model import (
     init_params,
     load_checkpoint,
     memory_update,
-    recurrent_cell,
     sample_decode,
     save_checkpoint,
 )

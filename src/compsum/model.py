@@ -135,9 +135,16 @@ def softmax(x: np.ndarray) -> np.ndarray:
 
 
 class _GatedCell:
-    """The gated recurrent cell of one parameter set, split into the input
-    projections, which do not depend on the hidden state and are computed
-    for many positions at once, and the step along the hidden-state chain.
+    """The gated recurrent cell of one parameter set:
+
+    z = sigmoid(W_z x + U_z h_prev + b_z)          (update gate)
+    r = sigmoid(W_r x + U_r h_prev + b_r)          (reset gate)
+    h~ = tanh(W_h x + U_h (r * h_prev) + b_h)      (candidate)
+    h = (1 - z) * h_prev + z * h~
+
+    It is split into the input projections, which do not depend on the
+    hidden state and are computed for many positions at once, and the step
+    along the hidden-state chain.
 
     Each gate keeps its own matrix-vector products, so every position gets
     bit for bit the values of evaluating the cell on its own.  The gate
@@ -181,24 +188,6 @@ class _GatedCell:
         h_cand = np.tanh(c)
         h = (1.0 - z) * h_prev + z * h_cand
         return h, zr, h_cand
-
-
-def recurrent_cell(params: ModelParams, h_prev: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One step of the gated recurrent cell.
-
-    z = sigmoid(W_z x + U_z h_prev + b_z)          (update gate)
-    r = sigmoid(W_r x + U_r h_prev + b_r)          (reset gate)
-    h~ = tanh(W_h x + U_h (r * h_prev) + b_h)      (candidate)
-    h = (1 - z) * h_prev + z * h~
-
-    With all-zero parameters z = r = 1/2 and h~ = 0, so h = h_prev / 2.
-    """
-    if x.shape != (params.d,) or h_prev.shape != (params.d,):
-        raise DimensionMismatch(
-            f"cell inputs must have shape ({params.d},), got {x.shape} and {h_prev.shape}"
-        )
-    cell = _GatedCell(params)
-    return cell.step(h_prev, cell.project(x[None])[0])[0]
 
 
 def memory_update(
