@@ -79,7 +79,7 @@ def _parser(convert: Callable[[str], object], expected: str) -> Callable[[str, s
         try:
             return convert(raw)
         except (KeyError, ValueError):
-            raise ConfigError(key, f"expected {expected}, got '{raw}'") from None
+            raise ConfigError(key, f"expected {expected}, got {raw!r}") from None
 
     return parse
 

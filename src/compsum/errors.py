@@ -34,10 +34,12 @@ class CheckpointError(SchemaError):
 
 
 class ConfigError(DataError):
-    """A config key is unknown, unparseable, or out of range."""
+    """A config key is unknown, unparseable, or out of range.  The key is
+    quoted as a Python literal, so control characters from the config file
+    print escaped and the message stays on one line."""
 
     def __init__(self, key: str, reason: str):
-        super().__init__(f"config key '{key}': {reason}")
+        super().__init__(f"config key {key!r}: {reason}")
         self.key = key
         self.reason = reason
 

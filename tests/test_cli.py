@@ -91,6 +91,14 @@ class TestLoadConfig:
     def test_bad_float(self, tmp_path):
         self._expect_config_error(tmp_path, "lr=fast\n", "lr")
 
+    @pytest.mark.parametrize("line", ["lr=0\x0c0", "ep\x1bochs=1", "no\x85separator"])
+    def test_control_characters_print_escaped(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code, _, err = invoke(["synth", "--config", str(cfg)])
+        assert code == 2
+        assert err.endswith("\n") and err[:-1].isprintable(), err
+
     def test_bool_is_strict(self, tmp_path):
         self._expect_config_error(tmp_path, "disable_memory=True\n", "disable_memory")
 

@@ -1,23 +1,30 @@
 """Property tests of the four loaders of outside bytes: config files,
-dataset JSONL, vocabulary files and checkpoints.
+dataset JSONL, vocabulary files and checkpoints, and of whole pipeline runs
+from hostile config values.
 
 Each input is a small valid file, cut short, bit-flipped, or given invalid
 UTF-8, deep nesting or huge header sizes and counts.  Every input must load
 or raise ``compsum.Error`` or ``OSError``, the exceptions ``cli.run`` maps to
 exit codes 2 and 3; anything else would end the program in a traceback.
-A checkpoint that loads must save back to the same bytes.
+A checkpoint that loads must save back to the same bytes.  A pipeline run
+must end in exit code 0, 2 or 3 with at most one line on stderr.
 The examples are derandomized, so every run tries the same inputs.
 """
 
+import io
 import math
 import struct
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from compsum import Error
-from compsum.cli import load_config
+from compsum.cli import load_config, run
 from compsum.corpus import (
     Vocabulary,
     build_vocab,
@@ -187,3 +194,62 @@ def test_load_checkpoint(valid_files, work_dir, mutated):
         resaved = work_dir / "resaved"
         save_checkpoint(str(resaved), *loaded)
         assert resaved.read_bytes() == data
+
+
+# Keys that bound a pipeline run's size: an untrained model decodes max_len
+# tokens for each example, so these stay small.
+SMALL_KEYS = {"synth_count": 3, "d": 4, "epochs": 1, "max_len": 4}
+# Every other key but the paths; a run sets up to three of them to any text.
+FREE_KEYS = (
+    "stage", "lr", "lambda", "l_chunk", "seed", "key_k", "temperature", "tau",
+    "min_freq", "synth_seed", "disable_memory", "disable_key_extraction",
+    "disable_comparative",
+)
+HOSTILE_VALUES = (
+    "", "x", "nan", "-nan", "inf", "-inf", "1e999", "1e308", "-1", "0", "1", "0.5", "1e-320",
+    "true", "false", "comparative", str(2**32), str(2**64), "9" * 5000, "-" + "9" * 30,
+)
+# Values stay on their line: the config reader splits lines at \n and \r.
+ONE_LINE_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), max_size=12
+)
+
+
+@settings(FUZZ, max_examples=150)
+@given(
+    small=st.fixed_dictionaries({
+        key: st.integers(1 if key in ("d", "max_len") else 0, bound)
+        for key, bound in SMALL_KEYS.items()
+    }),
+    free=st.dictionaries(
+        st.sampled_from(FREE_KEYS),
+        st.one_of(
+            st.sampled_from(HOSTILE_VALUES),
+            st.integers(-(2**70), 2**70).map(str),
+            st.floats().map(repr),
+            ONE_LINE_TEXT,
+        ),
+        max_size=3,
+    ),
+)
+def test_pipeline_run(small, free):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {
+            key: str(Path(tmp, name)) for key, name in (
+                ("data", "data.jsonl"), ("vocab", "vocab.txt"),
+                ("checkpoint_out", "model.ckpt"), ("report", "report.jsonl"),
+            )
+        }
+        config = Path(tmp, "run.cfg")
+        lines = [f"{key}={value}" for key, value in {**paths, **small, **free}.items()]
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+                redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = run(["pipeline", "--config", str(config)])
+    err = err.getvalue()
+    assert code in (0, 2, 3)
+    assert len(err.splitlines()) <= 1, err
+    # a warning would print on the command line's stderr too
+    assert not caught, [str(w.message) for w in caught]
