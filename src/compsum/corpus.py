@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
@@ -30,27 +31,19 @@ RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>", "<doc>", "<sum>", "<key>"
 SENTENCE_DELIMITER = "."
 
 
+_TOKEN = re.compile(r"[^\W_]+|(?:[^\w\s]|_)+")
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, then split each piece into alternating
-    runs of alphanumeric characters and runs of punctuation.
+    runs of alphanumeric characters and runs of punctuation, as ``_TOKEN``
+    matches them: in ``re``, ``\\w`` is ``str.isalnum()`` plus "_" and ``\\s``
+    is ``str.isspace()``, so "_" is punctuation.
 
     "The cat sat." -> ["the", "cat", "sat", "."].  Deterministic; empty input
     yields an empty list.
     """
-    out: list[str] = []
-    for piece in text.lower().split():
-        run: list[str] = []
-        run_is_word = False
-        for ch in piece:
-            is_word = ch.isalnum()
-            if run and is_word != run_is_word:
-                out.append("".join(run))
-                run = []
-            run.append(ch)
-            run_is_word = is_word
-        if run:
-            out.append("".join(run))
-    return out
+    return _TOKEN.findall(text.lower())
 
 
 class Vocabulary:
@@ -73,15 +66,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def id_of(self, token: str) -> int | None:
         """Id for a known token, None for an unknown one."""
         return self._ids.get(token)
-
-    def encode_token(self, token: str) -> int:
-        return self._ids.get(token, UNK)
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self._ids.get(t, UNK) for t in tokens]
@@ -344,7 +331,7 @@ def load_dataset(path: str, vocab: Vocabulary) -> list[PaperSet]:
         for p in record["papers"]:
             body = vocab.encode(tokenize(p["text"]))
             if not body:
-                raise SchemaError(line_no, f"paper '{p['id']}' has empty text")
+                raise SchemaError(line_no, f"paper {p['id']!r} has empty text")
             docs.append(
                 PaperDocument(p["id"], p["title"], body, vocab.encode(tokenize(p["insight"])))
             )

@@ -30,7 +30,7 @@ class CheckpointError(SchemaError):
     """A checkpoint file is malformed; a binary file has no line to name."""
 
     def __init__(self, path: str, reason: str):
-        DataError.__init__(self, f"checkpoint '{path}': {reason}")
+        DataError.__init__(self, f"checkpoint {path!r}: {reason}")
 
 
 class ConfigError(DataError):

@@ -42,5 +42,5 @@ def utf8_lines(path: str) -> Iterator[str]:
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError:
-                raise DataError(f"'{path}' line {line_no}: invalid UTF-8") from None
-        raise DataError(f"'{path}': invalid UTF-8") from None
+                raise DataError(f"{path!r} line {line_no}: invalid UTF-8") from None
+        raise DataError(f"{path!r}: invalid UTF-8") from None

@@ -29,16 +29,6 @@ from .errors import CheckpointError, DimensionMismatch, EmptyChunk, EmptyInput
 from .errors import NonFiniteCheckpoint
 from .ioutil import atomic_write_bytes
 
-TENSOR_NAMES = (
-    "E",
-    "W_z", "U_z", "b_z",
-    "W_r", "U_r", "b_r",
-    "W_h", "U_h", "b_h",
-    "W_q", "W_k", "W_v", "W_g", "b_g",
-    "W_o", "b_o",
-)
-
-
 @dataclass
 class AblationFlags:
     """Switches that remove one mechanism at a time."""
@@ -90,6 +80,9 @@ def tensor_shapes(d: int, V: int) -> dict[str, tuple[int, ...]]:
     shapes.update(W_q=(d, d), W_k=(d, d), W_v=(d, d), W_g=(d, 2 * d), b_g=(d,))
     shapes.update(W_o=(V, d), b_o=(V,))
     return shapes
+
+
+TENSOR_NAMES = tuple(tensor_shapes(1, 1))
 
 
 def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
@@ -282,22 +275,14 @@ def _run_stream(
     memory_on: bool,
     logits_start: int,
 ) -> ForwardTrace:
-    """Run the recurrence over a stream with the given region layout.
+    """Run the recurrence over a non-empty stream with the given region
+    layout, whose spans tile it, as the callers' layouts are checked to.
 
     The hidden state is carried across region boundaries; the memory vector
     is recomputed at each boundary from the region just completed.  Logits
     are produced for positions logits_start..S-1.
     """
     S = len(input_ids)
-    if S == 0:
-        raise EmptyInput("cannot run the model on an empty stream")
-    if not region_spans or region_spans[0][0] != 0 or region_spans[-1][1] != S:
-        raise DimensionMismatch("region spans must tile the stream")
-    prev_end = 0
-    for start, end in region_spans:
-        if start != prev_end or end <= start:
-            raise DimensionMismatch("region spans must tile the stream")
-        prev_end = end
     d, V = params.d, params.V
     ids = np.asarray(input_ids)
     _check_token_ids(ids, V)
@@ -558,6 +543,15 @@ def sample_decode(
 
 _MAGIC = b"CFG1"
 _VERSION = 2
+# magic, version, d, V, l_chunk, ablation bitmask
+_HEADER = struct.Struct("<4s5I")
+# each tensor record starts with its name's length, then the name
+_NAME_LEN = struct.Struct("<I")
+
+
+def _record_head(name: str) -> bytes:
+    raw = name.encode()
+    return _NAME_LEN.pack(len(raw)) + raw
 
 
 def _flag_bits(flags: AblationFlags) -> int:
@@ -570,51 +564,34 @@ def save_checkpoint(
 ) -> None:
     """Binary checkpoint: fixed header, then named float64 row-major tensors.
 
-    Header: magic 'CFG1', version, d, V, l_chunk, ablation bitmask (all
-    little-endian uint32 after the magic).  Each tensor, in TENSOR_NAMES
-    order: name length, name bytes, then its little-endian float64 values;
-    ``tensor_shapes(d, V)`` fixes every shape.  Non-finite values raise
-    ``NonFiniteCheckpoint`` before anything is written, since
-    ``load_checkpoint`` would reject the file.
+    Header (``_HEADER``): magic 'CFG1', version, d, V, l_chunk, ablation
+    bitmask (all little-endian uint32 after the magic).  Each tensor, in
+    TENSOR_NAMES order: its record head (``_record_head``: name length, name
+    bytes), then its little-endian float64 values; ``tensor_shapes(d, V)``
+    fixes every shape.  Non-finite values raise ``NonFiniteCheckpoint`` before
+    anything is written, since ``load_checkpoint`` would reject the file.
     """
     for name in TENSOR_NAMES:
         if not np.all(np.isfinite(params.tensors[name])):
             raise NonFiniteCheckpoint(
-                f"checkpoint '{path}' not written: tensor '{name}' holds non-finite values"
+                f"checkpoint {path!r} not written: tensor '{name}' holds non-finite values"
             )
-    parts = [struct.pack("<4s5I", _MAGIC, _VERSION, params.d, params.V, l_chunk, _flag_bits(flags))]
+    parts = [_HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, _flag_bits(flags))]
     for name in TENSOR_NAMES:
-        raw = name.encode()
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-        parts.append(params.tensors[name].astype("<f8").tobytes())
+        parts += (_record_head(name), params.tensors[name].astype("<f8").tobytes())
     atomic_write_bytes(path, b"".join(parts))
 
 
-class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise CheckpointError(self.path, "truncated")
-        out = self.data[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags]:
-    """Read a checkpoint, validating header, names, shapes, and finiteness."""
+    """Read a checkpoint, validating header, names, shapes, and finiteness;
+    each size is checked against the file before it is read or allocated."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    if reader.take(4) != _MAGIC:
+        data = fh.read()
+    if len(data) < _HEADER.size:
+        raise CheckpointError(path, "truncated")
+    magic, version, d, V, l_chunk, bits = _HEADER.unpack_from(data)
+    if magic != _MAGIC:
         raise CheckpointError(path, "bad magic number")
-    version, d, V, l_chunk, bits = (reader.u32() for _ in range(5))
     if version != _VERSION:
         raise CheckpointError(path, f"unsupported checkpoint version {version}")
     names = [f.name for f in fields(AblationFlags)]
@@ -624,16 +601,25 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags]:
         raise CheckpointError(path, f"bad header d={d} V={V} l_chunk={l_chunk}")
     shapes = tensor_shapes(d, V)
     tensors: dict[str, np.ndarray] = {}
+    off = _HEADER.size
     for name in TENSOR_NAMES:
-        found = reader.take(reader.u32())
-        if found != name.encode():
+        if off + _NAME_LEN.size > len(data):
+            raise CheckpointError(path, "truncated")
+        start = off + _NAME_LEN.size + _NAME_LEN.unpack_from(data, off)[0]
+        if start > len(data):
+            raise CheckpointError(path, "truncated")
+        if data[off:start] != _record_head(name):
+            found = data[off + _NAME_LEN.size : start]
             raise CheckpointError(path, f"expected tensor '{name}', found {found!r}")
-        raw = reader.take(8 * math.prod(shapes[name]))
-        tensor = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shapes[name])
+        count = math.prod(shapes[name])
+        off = start + 8 * count
+        if off > len(data):
+            raise CheckpointError(path, "truncated")
+        tensor = np.frombuffer(data, "<f8", count, start).astype(np.float64)
         if not np.all(np.isfinite(tensor)):
             raise CheckpointError(path, f"tensor '{name}' contains non-finite values")
-        tensors[name] = tensor
-    if reader.off != len(reader.data):
+        tensors[name] = tensor.reshape(shapes[name])
+    if off != len(data):
         raise CheckpointError(path, "trailing bytes")
     flags = AblationFlags(**{name: bool(bits >> i & 1) for i, name in enumerate(names)})
     return ModelParams(d, V, tensors), l_chunk, flags

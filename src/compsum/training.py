@@ -557,12 +557,11 @@ def _train(
     examples: Sequence[Example],
     config: TrainConfig,
     stage: str,
-    lam: float,
     log_fn: LogFn | None,
 ) -> ModelParams:
     """Train ``params`` in place on the examples, one clipped Adam step per
     example, reshuffled each epoch from the config seed; both stages run
-    here and differ only in their examples' loss specs and ``lam``."""
+    here and differ only in their examples' loss specs."""
     state = init_adam_state(params)
     rng = np.random.default_rng(config.seed)
     memory_on = not config.flags.disable_memory
@@ -573,7 +572,7 @@ def _train(
             ids, spans, logits_start, spec = examples[int(idx)]
             trace = _run_stream(params, ids, spans, memory_on, logits_start)
             l_gen, l_comp, grads = _losses_and_grads(trace, params, spec)
-            l_stage = stage_loss(l_gen, l_comp, lam)
+            l_stage = stage_loss(l_gen, l_comp, spec.lam)
             step += 1
             norm = clip_gradients(grads, config.clip_norm)
             if not (math.isfinite(l_stage) and math.isfinite(norm)):
@@ -587,7 +586,7 @@ def _train(
             optimizer_step(params, grads, state, config)
             epoch_mean += (l_stage - epoch_mean) / i
             if log_fn is not None:
-                log_fn(StepRecord(step, epoch, l_gen, l_comp, lam, l_stage))
+                log_fn(StepRecord(step, epoch, l_gen, l_comp, spec.lam, l_stage))
         logger.info("%s epoch %d: mean stage loss %.6f", stage, epoch, epoch_mean)
     return params
 
@@ -611,7 +610,7 @@ def train_pretrain(
         stream = model_context(ps, vocab, config.key_k, config.flags) + ps.ref_summary
         ids, spans = _chunk_layout(chunk(stream[:-1], config.l_chunk))
         examples.append((ids, spans, 0, LossSpec(targets=stream[1:])))
-    return _train(params, examples, config, "pretrain", 0.0, log_fn)
+    return _train(params, examples, config, "pretrain", log_fn)
 
 
 def train_comparative(
@@ -639,10 +638,10 @@ def train_comparative(
             insights = [doc.insight for doc in ps.docs if doc.insight]
             if not insights:
                 raise MissingInsights(
-                    f"example '{ps.id}' has no non-empty insight but lambda > 0"
+                    f"example {ps.id!r} has no non-empty insight but lambda > 0"
                 )
             spec = LossSpec(
                 targets=ps.ref_summary, lam=lam, insights=insights, ref_tokens=ps.ref_summary
             )
         examples.append((*_teacher_forced_layout(context, ps.ref_summary), spec))
-    return _train(init.copy(), examples, config, "comparative", lam, log_fn)
+    return _train(init.copy(), examples, config, "comparative", log_fn)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import compsum
-from compsum import cli
+from compsum import cli, ioutil
 from compsum.cli import _CONFIG_KEYS, GRADCHECK_TOLERANCE, RunConfig, load_config, run
 from compsum.errors import ConfigError
 from compsum.model import AblationFlags, load_checkpoint
@@ -497,6 +497,84 @@ class TestPipeline:
             r"needs \d+ bytes, more than the \d+ bytes of physical memory\n",
             err,
         )
+
+
+class TestOutsideTextQuoted:
+    """Ids from dataset files and paths from config files print as Python
+    literals, so a form feed in them, a line break to ``str.splitlines``,
+    leaves the error on one line."""
+
+    def _one_line(self, code, err, expected):
+        assert code in (2, 3)
+        assert len(err.splitlines()) == 1, err
+        assert expected in err
+
+    def _pipeline_over(self, tmp_path, record):
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps(record) + "\n")
+        cfg = write_config(tmp_path, data=str(data), synth_count="0", d="2", epochs="0",
+                           max_len="4")
+        return invoke(["pipeline", "--config", cfg])
+
+    def test_paper_id(self, tmp_path):
+        paper_id = "a\fb"
+        paper = {"id": paper_id, "title": "t", "text": "", "insight": ""}
+        record = {"id": "e", "papers": [paper], "ref_summary": "x ."}
+        code, _, err = self._pipeline_over(tmp_path, record)
+        self._one_line(code, err, f"line 1: paper {paper_id!r} has empty text")
+
+    def test_example_id_without_insights(self, tmp_path):
+        example_id = "e\fx"
+        paper = {"id": "p", "title": "t", "text": "a b .", "insight": ""}
+        record = {"id": example_id, "papers": [paper], "ref_summary": "a b ."}
+        code, _, err = self._pipeline_over(tmp_path, record)
+        self._one_line(code, err, f"example {example_id!r} has no non-empty insight")
+
+    def test_invalid_utf8_path(self, tmp_path):
+        cfg = tmp_path / "bad\fu.cfg"
+        cfg.write_bytes(b"d=8\n\xff\n")
+        code, _, err = invoke(["pipeline", "--config", str(cfg)])
+        self._one_line(code, err, f"{str(cfg)!r} line 2: invalid UTF-8")
+
+    def test_invalid_utf8_path_without_a_bad_line(self, tmp_path, monkeypatch):
+        # The file is rewritten between the text read that fails and the
+        # binary read that looks for the bad line, so no line is named.
+        cfg = tmp_path / "re\fwritten.cfg"
+        cfg.write_bytes(b"d=8\n\xff\n")
+
+        def rewritten(path, mode="r", **kwargs):
+            return io.BytesIO(b"d=8\n") if "b" in mode else open(path, mode, **kwargs)
+
+        monkeypatch.setattr(ioutil, "open", rewritten, raising=False)
+        code, _, err = invoke(["pipeline", "--config", str(cfg)])
+        self._one_line(code, err, f"{str(cfg)!r}: invalid UTF-8")
+
+    def test_checkpoint_path(self, workspace):
+        root, paths = workspace
+        ckpt = root / "ck\fpt"
+        ckpt.write_bytes(b"XXXX" + open(paths["ckpt"], "rb").read()[4:])
+        cfg = write_config(root, "ffckpt.cfg", data=paths["data"], vocab=paths["vocab"],
+                           checkpoint_in=str(ckpt))
+        code, _, err = invoke(["evaluate", "--config", cfg])
+        self._one_line(code, err, f"checkpoint {str(ckpt)!r}: bad magic number")
+
+    def test_non_finite_checkpoint_path(self, workspace, monkeypatch):
+        root, paths = workspace
+        real = cli.train_pretrain
+
+        def diverged(*args, **kwargs):
+            params = real(*args, **kwargs)
+            params.tensors["b_g"][0] = float("nan")
+            return params
+
+        monkeypatch.setattr(cli, "train_pretrain", diverged)
+        out_ckpt = root / "diverged\f.ckpt"
+        cfg = write_config(root, "ffdiverged.cfg", stage="pretrain", data=paths["data"],
+                           vocab=paths["vocab"], checkpoint_out=str(out_ckpt), d="2",
+                           epochs="0")
+        code, _, err = invoke(["train", "--config", cfg])
+        self._one_line(code, err, f"checkpoint {str(out_ckpt)!r} not written")
+        assert not out_ckpt.exists()
 
 
 class TestExports:

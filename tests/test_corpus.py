@@ -6,6 +6,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compsum.corpus import (
     BOS,
@@ -36,6 +38,32 @@ from compsum.corpus import (
 from compsum.errors import EmptyInput, SchemaError
 
 
+def tokenize_oracle(text: str) -> list[str]:
+    """The tokenizer as a character state machine: lowercase, split on
+    whitespace, then cut each piece where it switches between alphanumeric
+    and other characters."""
+    out: list[str] = []
+    for piece in text.lower().split():
+        run: list[str] = []
+        run_is_word = False
+        for ch in piece:
+            is_word = ch.isalnum()
+            if run and is_word != run_is_word:
+                out.append("".join(run))
+                run = []
+            run.append(ch)
+            run_is_word = is_word
+        if run:
+            out.append("".join(run))
+    return out
+
+
+# underscore, dotted capital I (lowercases to two code points), superscript
+# two and Arabic-Indic three (digits to isalnum), a combining acute accent,
+# no-break space, line separator, and the file separator \x1c (whitespace)
+EDGE_CHARACTERS = ("_", "\u0130", "\u00b2", "\u0663", "\u0301", "\u00a0", "\u2028", "\x1c")
+
+
 class TestTokenize:
     def test_basic_sentence(self):
         assert tokenize("The cat sat.") == ["the", "cat", "sat", "."]
@@ -59,6 +87,16 @@ class TestTokenize:
     def test_numbers_survive(self):
         assert tokenize("score 87 beats 73") == ["score", "87", "beats", "73"]
 
+    @pytest.mark.parametrize("c", EDGE_CHARACTERS)
+    def test_edge_characters_match_state_machine(self, c):
+        for text in (c, "a" + c + "b", c + "_", "1" + c + ".", "A" + c + c + "Z"):
+            assert tokenize(text) == tokenize_oracle(text)
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(st.text())
+    def test_matches_state_machine(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
+
 
 class TestVocabulary:
     def test_reserved_block(self):
@@ -73,7 +111,7 @@ class TestVocabulary:
         v = Vocabulary(["cat", "dog"])
         assert v.id_of("cat") == 7
         assert v.id_of("dog") == 8
-        assert "cat" in v and "unseen" not in v
+        assert v.id_of("unseen") is None
 
     def test_duplicate_extra_rejected(self):
         with pytest.raises(ValueError):
@@ -83,7 +121,7 @@ class TestVocabulary:
 
     def test_unknown_encodes_to_unk(self):
         v = Vocabulary(["cat"])
-        assert v.encode_token("zebra") == UNK
+        assert v.encode(["zebra"]) == [UNK]
         assert v.encode(["cat", "zebra", "cat"]) == [7, UNK, 7]
         assert v.id_of("zebra") is None
 

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from compsum.corpus import BOS, EOS, PAD, Chunk, chunk
 from compsum.errors import (
+    CheckpointError,
     DimensionMismatch,
     EmptyChunk,
     EmptyInput,
@@ -413,6 +414,18 @@ class TestCheckpoint:
 
     def test_trailing_bytes(self, tmp_path):
         self._corrupt(tmp_path, lambda d: d + b"\x00\x01")
+
+    def test_every_truncation_and_a_trailing_byte(self, tmp_path):
+        path = tmp_path / "small.ckpt"
+        save_checkpoint(str(path), init_params(2, 9, 0), 4, AblationFlags())
+        valid = path.read_bytes()
+        for cut in range(len(valid)):
+            path.write_bytes(valid[:cut])
+            with pytest.raises(CheckpointError, match="truncated$"):
+                load_checkpoint(str(path))
+        path.write_bytes(valid + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing bytes$"):
+            load_checkpoint(str(path))
 
     def test_tensor_name_mismatch(self, tmp_path):
         def mutate(d):
