@@ -29,7 +29,7 @@ from .corpus import (
     write_dataset,
 )
 from .errors import ConfigError, Error, InvariantError
-from .ioutil import atomic_write_text, utf8_lines
+from .ioutil import utf8_lines, write_lines
 from .metrics import DEFAULT_TAU, evaluate_dataset, write_report
 from .model import (
     greedy_decode,
@@ -192,11 +192,6 @@ def _final_epoch_mean(records: list[StepRecord], epochs: int, attr: str) -> floa
     return total / n if n else 0.0
 
 
-def _write_log(path: str, records: list[StepRecord]) -> None:
-    lines = [json.dumps(r.to_record()) for r in records]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -236,7 +231,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if config.checkpoint_out:
         save_checkpoint(config.checkpoint_out, params, config.l_chunk, config.flags)
     if config.report:
-        _write_log(config.report, records)
+        write_lines(config.report, (json.dumps(r.to_record()) for r in records))
     print(
         json.dumps(
             {
@@ -269,7 +264,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
                 start=start,
             )
         lines.append(json.dumps({"id": ps.id, "summary": " ".join(vocab.decode(ids))}))
-    atomic_write_text(out, "\n".join(lines) + ("\n" if lines else ""))
+    write_lines(out, lines)
     print(f"wrote {len(lines)} summaries to {out}")
     return 0
 
@@ -296,12 +291,13 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if ok else 3
 
 
-def pipeline_end_to_end(config: RunConfig) -> int:
+def _cmd_pipeline(args: argparse.Namespace) -> int:
     """synth (if synth_count > 0) -> vocab -> pretrain -> comparative ->
     evaluate; prints the aggregate report plus the two-stage loss total.
 
-    A failure propagates with the label of the stage it happened in, as its
-    ``pipeline_stage`` attribute."""
+    A failure after the config is loaded propagates with the label of the
+    stage it happened in, as its ``pipeline_stage`` attribute."""
+    config = load_config(args.config)
     label = "synth"
     try:
         if config.synth_count > 0:
@@ -340,10 +336,6 @@ def pipeline_end_to_end(config: RunConfig) -> int:
     except (Error, OSError, MemoryError) as exc:
         exc.pipeline_stage = label
         raise
-
-
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    return pipeline_end_to_end(load_config(args.config))
 
 
 def _non_negative_int(raw: str) -> int:

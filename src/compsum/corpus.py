@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, SchemaError
-from .ioutil import atomic_write_text, utf8_lines
+from .ioutil import utf8_lines, write_lines
 
 # Reserved ids are pinned so checkpoints and encoded datasets stay
 # interchangeable across runs.
@@ -82,9 +82,7 @@ class Vocabulary:
         return out
 
     def save(self, path: str) -> None:
-        lines = [f"v1 {len(self.tokens)}"]
-        lines.extend(self.tokens)
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_lines(path, [f"v1 {len(self.tokens)}", *self.tokens])
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
@@ -130,8 +128,6 @@ def build_vocab(corpus: Iterable[Sequence[str]], min_freq: int = 1) -> Vocabular
 class PaperDocument:
     """One input paper: encoded body plus its reference comparative insight."""
 
-    id: str
-    title: str
     body: list[int]
     insight: list[int]
 
@@ -262,8 +258,7 @@ class RawPaperSet:
 
 
 def write_dataset(path: str, records: Iterable[RawPaperSet]) -> None:
-    lines = [json.dumps(asdict(r)) for r in records]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_lines(path, (json.dumps(asdict(r)) for r in records))
 
 
 def _require(record: dict, field: str, kind: type, line_no: int):
@@ -332,9 +327,7 @@ def load_dataset(path: str, vocab: Vocabulary) -> list[PaperSet]:
             body = vocab.encode(tokenize(p["text"]))
             if not body:
                 raise SchemaError(line_no, f"paper {p['id']!r} has empty text")
-            docs.append(
-                PaperDocument(p["id"], p["title"], body, vocab.encode(tokenize(p["insight"])))
-            )
+            docs.append(PaperDocument(body, vocab.encode(tokenize(p["insight"]))))
         summary = vocab.encode(tokenize(record["ref_summary"]))
         if not summary:
             raise SchemaError(line_no, "ref_summary is empty")

@@ -4,15 +4,16 @@ at all, and UTF-8 reads that turn bad bytes into a DataError."""
 from __future__ import annotations
 
 import os
-import tempfile
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DataError
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    # Mode 0o666 less the umask, as open(path, "w") creates a file;
+    # tempfile.mkstemp would make every output owner-only.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -23,8 +24,10 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line and a "\\n" as UTF-8, atomically; no lines give an
+    empty file."""
+    atomic_write_bytes(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def utf8_lines(path: str) -> Iterator[str]:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .corpus import EOS, SENTENCE_DELIMITER, Vocabulary, chunk
 from .errors import EmptyDataset
-from .ioutil import atomic_write_text
+from .ioutil import write_lines
 from .model import AblationFlags, ModelParams, greedy_decode, model_context, prefilled
 from .training import TrainConfig
 
@@ -193,7 +193,7 @@ class EvalReport:
 
 
 def write_report(path: str, report: EvalReport) -> None:
-    atomic_write_text(path, "\n".join(report.to_lines()) + "\n")
+    write_lines(path, report.to_lines())
 
 
 def evaluate_dataset(

@@ -311,9 +311,7 @@ def _run_stream(
         if memory_on and end < S:
             (m.qs[i], m.ks[start:end], m.vs[start:end], m.alphas[start:end], m.attended[i],
              m.gates[i], m.mems[i + 1]) = _attend(params, m.mems[i], hs[start:end])
-    n_logits = S - logits_start
     logits = hs[logits_start:] @ t["W_o"].T + t["b_o"][None, :]
-    assert logits.shape == (n_logits, V)
     return ForwardTrace(
         list(input_ids), list(region_spans), xs, hs, zrs[:, :d], zrs[:, d:], h_cands,
         memory, logits, logits_start,

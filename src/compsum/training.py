@@ -17,7 +17,6 @@ keeps training bitwise reproducible from (seed, config, data).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, ClassVar, Sequence
@@ -49,8 +48,6 @@ from .model import (
     softmax,
 )
 
-logger = logging.getLogger(__name__)
-
 Gradients = dict[str, np.ndarray]
 
 
@@ -76,7 +73,7 @@ def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _generation_loss_and_dlogits(
     logits: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[float, np.ndarray]:
     if logits.shape[0] != len(targets):
         raise LengthMismatch(
             f"{logits.shape[0]} logit rows for {len(targets)} target positions"
@@ -91,7 +88,7 @@ def _generation_loss_and_dlogits(
     dlogits[np.arange(len(targets)), targets] -= 1.0
     dlogits[~counted] = 0.0
     dlogits /= n
-    return loss, dlogits, n
+    return loss, dlogits
 
 
 def generation_loss(trace: ForwardTrace, targets: Sequence[int]) -> float:
@@ -312,20 +309,17 @@ def _comparative_backward(
     ref_trace, e_ref = _encode_traced(params, ref_tokens)
     loss, dsims = _contrastive_parts([e for _, e in ins], e_ref)
     d_ref = np.zeros(params.d)
+    seeds = []
     for (trace, e), ds in zip(ins, dsims):
         de, db = _cosine_backward(e, e_ref, float(ds))
         d_ref += db
-        _seed_encode_backward(params, trace, weight * de, grads)
-    _seed_encode_backward(params, ref_trace, weight * d_ref, grads)
+        seeds.append((trace, de))
+    # An encoding is the mean of its pass's hidden states.  The insights'
+    # gradients are added first, then the reference's.
+    for trace, d_mean in seeds + [(ref_trace, d_ref)]:
+        S = len(trace.input_ids)
+        _backward_stream(params, trace, grads, dh_seeds=np.tile(weight * d_mean / S, (S, 1)))
     return loss
-
-
-def _seed_encode_backward(
-    params: ModelParams, trace: ForwardTrace, d_mean: np.ndarray, grads: Gradients
-) -> None:
-    """Backprop through a mean-of-hiddens encoding pass."""
-    S = len(trace.input_ids)
-    _backward_stream(params, trace, grads, dh_seeds=np.tile(d_mean / S, (S, 1)))
 
 
 def _losses_and_grads(
@@ -338,7 +332,7 @@ def _losses_and_grads(
     grads = params.zeros_like()
     l_gen = l_comp = 0.0
     if loss_spec.targets is not None:
-        l_gen, dlogits, _ = _generation_loss_and_dlogits(
+        l_gen, dlogits = _generation_loss_and_dlogits(
             trace.logits, np.asarray(loss_spec.targets)
         )
         _backward_stream(params, trace, grads, dlogits=dlogits)
@@ -376,11 +370,12 @@ def finite_difference_check(
 
     Every parameter entry is probed ((L(t+eps) - L(t-eps)) / 2 eps), or a
     seeded random subsample of ``max_entries`` entries; relative error is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).  Parameters are
-    restored bitwise after probing.
+    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).  A non-finite
+    error (from a NaN or infinite gradient or loss) is returned as soon as it
+    is met.  Parameters are restored bitwise after probing.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and > 0")
     analytic = grad_fn(params)
     entries: list[tuple[str, int]] = []
     for name, tensor in params.tensors.items():
@@ -401,36 +396,32 @@ def finite_difference_check(
         numeric = (up - down) / (2.0 * eps)
         a = float(analytic[name].reshape(-1)[flat_idx])
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        if not math.isfinite(err):
+            return err
         worst = max(worst, err)
     return worst
 
 
 @dataclass
 class GradcheckProbe:
-    """A fixed random model and example for verifying the backward pass."""
+    """A fixed random model and example for verifying the backward pass;
+    ``loss`` and ``grads`` both read the example's terms from ``spec``."""
 
     params: ModelParams
     context_chunks: list
-    targets: list[int]
-    insights: list[list[int]]
-    lam: float
-    flags: AblationFlags
+    spec: LossSpec
 
     def loss(self, params: ModelParams) -> float:
-        trace = forward(params, self.context_chunks, self.targets, self.flags)
-        l_gen = generation_loss(trace, self.targets)
-        vecs = [_encode_traced(params, seq)[1] for seq in self.insights]
-        ref_vec = _encode_traced(params, self.targets)[1]
-        l_comp = comparative_loss(vecs, ref_vec)
-        return stage_loss(l_gen, l_comp, self.lam)
+        # Forward passes only: this is the function whose finite differences
+        # the gradients are checked against.
+        s = self.spec
+        l_gen = generation_loss(forward(params, self.context_chunks, s.targets), s.targets)
+        vecs = [_encode_traced(params, seq)[1] for seq in s.insights]
+        l_comp = comparative_loss(vecs, _encode_traced(params, s.ref_tokens)[1])
+        return stage_loss(l_gen, l_comp, s.lam)
 
     def grads(self, params: ModelParams) -> Gradients:
-        trace = forward(params, self.context_chunks, self.targets, self.flags)
-        spec = LossSpec(
-            targets=self.targets, lam=self.lam,
-            insights=self.insights, ref_tokens=self.targets,
-        )
-        return backward(trace, params, spec)
+        return backward(forward(params, self.context_chunks, self.spec.targets), params, self.spec)
 
 
 def gradcheck_probe(seed: int = 0) -> GradcheckProbe:
@@ -448,7 +439,7 @@ def gradcheck_probe(seed: int = 0) -> GradcheckProbe:
     targets = list(rng.integers(first, V, size=11)) + [2]
     insights = [list(rng.integers(first, V, size=5)) for _ in range(3)]
     return GradcheckProbe(
-        params, chunk(context, l_chunk), targets, insights, lam, AblationFlags()
+        params, chunk(context, l_chunk), LossSpec(targets, lam, insights, targets)
     )
 
 
@@ -567,8 +558,7 @@ def _train(
     memory_on = not config.flags.disable_memory
     step = 0
     for epoch in range(1, config.epochs + 1):
-        epoch_mean = 0.0
-        for i, idx in enumerate(rng.permutation(len(examples)), start=1):
+        for idx in rng.permutation(len(examples)):
             ids, spans, logits_start, spec = examples[int(idx)]
             trace = _run_stream(params, ids, spans, memory_on, logits_start)
             l_gen, l_comp, grads = _losses_and_grads(trace, params, spec)
@@ -579,15 +569,9 @@ def _train(
                 raise NonFiniteTraining(
                     f"{stage} step {step}: loss {l_stage}, gradient norm {norm} (not finite)"
                 )
-            if norm > config.clip_norm:
-                logger.info(
-                    "step %d: clipped gradient norm %.3f -> %.1f", step, norm, config.clip_norm
-                )
             optimizer_step(params, grads, state, config)
-            epoch_mean += (l_stage - epoch_mean) / i
             if log_fn is not None:
                 log_fn(StepRecord(step, epoch, l_gen, l_comp, spec.lam, l_stage))
-        logger.info("%s epoch %d: mean stage loss %.6f", stage, epoch, epoch_mean)
     return params
 
 
@@ -633,15 +617,9 @@ def train_comparative(
     examples = []
     for ps in dataset:
         context = chunk(model_context(ps, vocab, config.key_k, config.flags), config.l_chunk)
-        spec = LossSpec(targets=ps.ref_summary)
-        if lam != 0.0:
-            insights = [doc.insight for doc in ps.docs if doc.insight]
-            if not insights:
-                raise MissingInsights(
-                    f"example {ps.id!r} has no non-empty insight but lambda > 0"
-                )
-            spec = LossSpec(
-                targets=ps.ref_summary, lam=lam, insights=insights, ref_tokens=ps.ref_summary
-            )
+        insights = [doc.insight for doc in ps.docs if doc.insight]
+        if lam != 0.0 and not insights:
+            raise MissingInsights(f"example {ps.id!r} has no non-empty insight but lambda > 0")
+        spec = LossSpec(ps.ref_summary, lam, insights, ps.ref_summary)
         examples.append((*_teacher_forced_layout(context, ps.ref_summary), spec))
     return _train(init.copy(), examples, config, "comparative", log_fn)

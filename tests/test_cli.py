@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import re
+import stat
 import struct
 import warnings
 from dataclasses import fields
@@ -17,7 +19,7 @@ import compsum
 from compsum import cli, ioutil
 from compsum.cli import _CONFIG_KEYS, GRADCHECK_TOLERANCE, RunConfig, load_config, run
 from compsum.errors import ConfigError
-from compsum.model import AblationFlags, load_checkpoint
+from compsum.model import AblationFlags, init_params, load_checkpoint, save_checkpoint
 from compsum.training import StepRecord
 
 
@@ -410,6 +412,17 @@ class TestGradcheckCommand:
         assert "pass" in out
         assert GRADCHECK_TOLERANCE == 1e-4
 
+    def test_non_finite_gradient_fails(self, monkeypatch):
+        probe = cli.gradcheck_probe(0)
+        grads = probe.grads(probe.params)
+        for g in grads.values():
+            g[...] = np.nan
+        monkeypatch.setattr(probe, "grads", lambda params: grads)
+        monkeypatch.setattr(cli, "gradcheck_probe", lambda seed: probe)
+        code, out, _ = invoke(["gradcheck"])
+        assert code == 3
+        assert out == "gradcheck max relative error nan (fail)\n"
+
     def test_negative_seed_is_a_usage_error(self):
         code, out, err = invoke(["gradcheck", "--seed", "-1"])
         assert code == 1
@@ -575,6 +588,22 @@ class TestOutsideTextQuoted:
         code, _, err = invoke(["train", "--config", cfg])
         self._one_line(code, err, f"checkpoint {str(out_ckpt)!r} not written")
         assert not out_ckpt.exists()
+
+
+class TestOutputFileMode:
+    @pytest.mark.parametrize("mask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_outputs_are_created_as_open_creates_them(self, tmp_path, mask):
+        old = os.umask(mask)
+        try:
+            open(tmp_path / "plain", "w").close()
+            ioutil.write_lines(str(tmp_path / "lines"), ["a"])
+            save_checkpoint(str(tmp_path / "ckpt"), init_params(2, 9, 0), 4, AblationFlags())
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+        for name in ("lines", "ckpt"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == want
+        assert sorted(os.listdir(tmp_path)) == ["ckpt", "lines", "plain"]
 
 
 class TestExports:

@@ -219,7 +219,7 @@ class TestChunk:
 
 
 def _doc_from(text, vocab):
-    return PaperDocument("d0", "t", vocab.encode(tokenize(text)), [])
+    return PaperDocument(vocab.encode(tokenize(text)), [])
 
 
 class TestKeyElements:
@@ -261,7 +261,7 @@ class TestKeyElements:
 
     def test_empty_body(self):
         with pytest.raises(EmptyInput):
-            extract_key_elements(PaperDocument("d", "t", [], []), 1, None)
+            extract_key_elements(PaperDocument([], []), 1, None)
 
 
 class TestAssembleContext:

@@ -89,7 +89,7 @@ class TestStreamPasses:
     def test_generation_gradients(self, d, memory_on, l_chunk):
         params, context, target, _ = _example(d, 2)
         trace = forward(params, _chunks(context, l_chunk), target, _flags(memory_on))
-        _, dlogits, _ = training._generation_loss_and_dlogits(trace.logits, np.asarray(target))
+        _, dlogits = training._generation_loss_and_dlogits(trace.logits, np.asarray(target))
         # Non-zero accumulators: the new terms must be added to them in order.
         got = _random_grads(params, 3)
         want = {k: v.copy() for k, v in got.items()}
@@ -104,7 +104,7 @@ def test_memory_off_gradients_do_not_depend_on_chunking(d):
     grads = []
     for l_chunk in CHUNK_SIZES:
         trace = forward(params, _chunks(context, l_chunk), target, _flags(False))
-        _, dlogits, _ = training._generation_loss_and_dlogits(trace.logits, np.asarray(target))
+        _, dlogits = training._generation_loss_and_dlogits(trace.logits, np.asarray(target))
         grads.append(params.zeros_like())
         _backward_stream(params, trace, grads[-1], dlogits=dlogits)
     for other in grads[1:]:

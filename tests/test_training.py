@@ -34,6 +34,7 @@ from compsum.training import (
     AdamState,
     LossSpec,
     TrainConfig,
+    _losses_and_grads,
     backward,
     clip_gradients,
     comparative_loss,
@@ -163,29 +164,39 @@ class TestStageAndTotalLoss:
 class TestBackward:
     def test_zero_weight_matches_generation_only_bitwise(self):
         probe = gradcheck_probe(0)
-        trace = forward(probe.params, probe.context_chunks, probe.targets, probe.flags)
-        gen_only = backward(trace, probe.params, LossSpec(targets=probe.targets))
+        trace = forward(probe.params, probe.context_chunks, probe.spec.targets)
+        gen_only = backward(trace, probe.params, LossSpec(targets=probe.spec.targets))
         with_comp = backward(
             trace,
             probe.params,
-            LossSpec(targets=probe.targets, lam=0.0, insights=probe.insights,
-                     ref_tokens=probe.targets),
+            LossSpec(targets=probe.spec.targets, lam=0.0, insights=probe.spec.insights,
+                     ref_tokens=probe.spec.targets),
         )
         for name in gen_only:
             assert np.array_equal(gen_only[name], with_comp[name])
 
     def test_stale_trace_rejected(self):
         probe = gradcheck_probe(2)
-        trace = forward(probe.params, probe.context_chunks, probe.targets, probe.flags)
+        trace = forward(probe.params, probe.context_chunks, probe.spec.targets)
         other = init_params(4, 20, 0)
         with pytest.raises(StaleTrace):
-            backward(trace, other, LossSpec(targets=probe.targets))
+            backward(trace, other, LossSpec(targets=probe.spec.targets))
 
     def test_contrastive_requires_reference(self):
         probe = gradcheck_probe(3)
-        trace = forward(probe.params, probe.context_chunks, probe.targets, probe.flags)
+        trace = forward(probe.params, probe.context_chunks, probe.spec.targets)
         with pytest.raises(EmptyInput):
-            backward(trace, probe.params, LossSpec(lam=0.5, insights=probe.insights))
+            backward(trace, probe.params, LossSpec(lam=0.5, insights=probe.spec.insights))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_probe_loss_is_the_trained_stage_loss(self, seed):
+        # The finite differences are taken of probe.loss; it must be the
+        # value training computes, bit for bit.
+        probe = gradcheck_probe(seed)
+        spec = probe.spec
+        trace = forward(probe.params, probe.context_chunks, spec.targets)
+        l_gen, l_comp, _ = _losses_and_grads(trace, probe.params, spec)
+        assert probe.loss(probe.params) == stage_loss(l_gen, l_comp, spec.lam)
 
 
 class TestFiniteDifference:
@@ -196,20 +207,37 @@ class TestFiniteDifference:
         )
         assert err < 1e-4
 
-    def test_quadratic_oracle(self):
-        params = init_params(3, 8, 2)
+    @staticmethod
+    def _quadratic(bad_grad=None, loss_offset=0.0):
+        """L = |E|^2 / 2 + loss_offset and its gradient, with the analytic
+        E[0, 0] replaced by ``bad_grad`` when one is given."""
 
         def loss_fn(p):
-            return float(0.5 * (p.tensors["E"] ** 2).sum())
+            return float(0.5 * (p.tensors["E"] ** 2).sum()) + loss_offset
 
         def grad_fn(p):
             grads = {k: np.zeros_like(v) for k, v in p.tensors.items()}
             grads["E"] = p.tensors["E"].copy()
+            if bad_grad is not None:
+                grads["E"][0, 0] = bad_grad
             return grads
 
-        err = finite_difference_check(params, loss_fn, grad_fn, eps=1e-5,
+        return loss_fn, grad_fn
+
+    def test_quadratic_oracle(self):
+        params = init_params(3, 8, 2)
+        err = finite_difference_check(params, *self._quadratic(), eps=1e-5,
                                       max_entries=50, seed=1)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("bad_grad, loss_offset", [
+        (math.nan, 0.0), (math.inf, 0.0), (None, math.nan),
+    ])
+    def test_non_finite_error_is_the_result(self, bad_grad, loss_offset):
+        err = finite_difference_check(
+            init_params(3, 8, 2), *self._quadratic(bad_grad, loss_offset)
+        )
+        assert not math.isfinite(err)
 
     def test_params_restored_after_probing(self):
         probe = gradcheck_probe(4)
@@ -221,8 +249,9 @@ class TestFiniteDifference:
 
     def test_eps_validation(self):
         probe = gradcheck_probe(5)
-        with pytest.raises(ValueError):
-            finite_difference_check(probe.params, probe.loss, probe.grads, eps=0.0)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                finite_difference_check(probe.params, probe.loss, probe.grads, eps=eps)
 
 
 class TestAdam:
