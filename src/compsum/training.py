@@ -158,7 +158,8 @@ class LossSpec:
 
     ``targets`` enables the generation term over the trace's logits.
     ``insights``/``ref_tokens`` enable the contrastive term at weight ``lam``
-    (their encoding passes are recomputed inside backward).
+    (``_loss_terms`` runs their encoding passes, and the backward sweeps each
+    of them as a stream of its own).
     """
 
     targets: Sequence[int] | None = None
@@ -293,55 +294,51 @@ def _backward_stream(
         grads[f"b_{g}"] += db[rows]
 
 
-def _comparative_backward(
-    params: ModelParams,
-    insights: Sequence[Sequence[int]],
-    ref_tokens: Sequence[int],
-    weight: float,
-    grads: Gradients,
-) -> float:
-    """Contrastive term: encode, differentiate through the similarities, and
-    backprop ``weight`` times the loss through every encoding pass.  Returns
-    the (unweighted) loss value."""
-    if not insights:
-        raise EmptySet("contrastive loss needs at least one insight sequence")
-    ins = [_encode_traced(params, seq) for seq in insights]
-    ref_trace, e_ref = _encode_traced(params, ref_tokens)
-    loss, dsims = _contrastive_parts([e for _, e in ins], e_ref)
-    d_ref = np.zeros(params.d)
+def _loss_terms(
+    trace: ForwardTrace, params: ModelParams, spec: LossSpec
+) -> tuple[float, float, list[tuple]]:
+    """(l_gen, l_comp, seeds) from forward passes only: the unweighted value
+    of each loss term (0.0 for a term the spec leaves out) and, for each
+    stream the spec's scalar loss reads, one seed (trace, dlogits, dh_seeds)
+    as ``_backward_stream`` takes them, in the order they are swept: the
+    generation stream, then each insight encode, then the reference encode."""
+    _check_trace(trace, params)
+    l_gen = l_comp = 0.0
     seeds = []
-    for (trace, e), ds in zip(ins, dsims):
-        de, db = _cosine_backward(e, e_ref, float(ds))
-        d_ref += db
-        seeds.append((trace, de))
-    # An encoding is the mean of its pass's hidden states.  The insights'
-    # gradients are added first, then the reference's.
-    for trace, d_mean in seeds + [(ref_trace, d_ref)]:
-        S = len(trace.input_ids)
-        _backward_stream(params, trace, grads, dh_seeds=np.tile(weight * d_mean / S, (S, 1)))
-    return loss
+    if spec.targets is not None:
+        l_gen, dlogits = _generation_loss_and_dlogits(trace.logits, np.asarray(spec.targets))
+        seeds.append((trace, dlogits, None))
+    if spec.lam != 0.0 and spec.insights is not None:
+        if spec.ref_tokens is None:
+            raise EmptyInput("contrastive term needs reference tokens")
+        if not spec.insights:
+            raise EmptySet("contrastive loss needs at least one insight sequence")
+        ins = [_encode_traced(params, seq) for seq in spec.insights]
+        ref_trace, e_ref = _encode_traced(params, spec.ref_tokens)
+        l_comp, dsims = _contrastive_parts([e for _, e in ins], e_ref)
+        d_ref = np.zeros(params.d)
+        means = []
+        for (enc, e), ds in zip(ins, dsims):
+            de, db = _cosine_backward(e, e_ref, float(ds))
+            d_ref += db
+            means.append((enc, de))
+        # An encoding is the mean of its pass's hidden states, so each
+        # position of the pass is seeded with 1/S of the weighted gradient.
+        for enc, d_mean in means + [(ref_trace, d_ref)]:
+            S = len(enc.input_ids)
+            seeds.append((enc, None, np.tile(spec.lam * d_mean / S, (S, 1))))
+    return l_gen, l_comp, seeds
 
 
 def _losses_and_grads(
     trace: ForwardTrace, params: ModelParams, loss_spec: LossSpec
 ) -> tuple[float, float, Gradients]:
-    """(l_gen, l_comp, gradients): the unweighted value of each loss term
-    (0.0 for a term the spec leaves out) and the exact gradients of the
-    spec's scalar loss."""
-    _check_trace(trace, params)
+    """(l_gen, l_comp, gradients): the loss terms of ``_loss_terms`` and the
+    exact gradients of the spec's scalar loss, one backward sweep per seed."""
+    l_gen, l_comp, seeds = _loss_terms(trace, params, loss_spec)
     grads = params.zeros_like()
-    l_gen = l_comp = 0.0
-    if loss_spec.targets is not None:
-        l_gen, dlogits = _generation_loss_and_dlogits(
-            trace.logits, np.asarray(loss_spec.targets)
-        )
-        _backward_stream(params, trace, grads, dlogits=dlogits)
-    if loss_spec.lam != 0.0 and loss_spec.insights is not None:
-        if loss_spec.ref_tokens is None:
-            raise EmptyInput("contrastive term needs reference tokens")
-        l_comp = _comparative_backward(
-            params, loss_spec.insights, loss_spec.ref_tokens, loss_spec.lam, grads
-        )
+    for stream, dlogits, dh_seeds in seeds:
+        _backward_stream(params, stream, grads, dlogits, dh_seeds)
     return l_gen, l_comp, grads
 
 
@@ -350,7 +347,7 @@ def backward(trace: ForwardTrace, params: ModelParams, loss_spec: LossSpec) -> G
 
     The generation term is differentiated through the given trace, including
     the paths through every memory update into previous-region hidden states;
-    the contrastive term re-runs its encoding passes internally.
+    the contrastive term runs its encoding passes and sweeps each of them.
     """
     return _losses_and_grads(trace, params, loss_spec)[2]
 
@@ -414,11 +411,9 @@ class GradcheckProbe:
     def loss(self, params: ModelParams) -> float:
         # Forward passes only: this is the function whose finite differences
         # the gradients are checked against.
-        s = self.spec
-        l_gen = generation_loss(forward(params, self.context_chunks, s.targets), s.targets)
-        vecs = [_encode_traced(params, seq)[1] for seq in s.insights]
-        l_comp = comparative_loss(vecs, _encode_traced(params, s.ref_tokens)[1])
-        return stage_loss(l_gen, l_comp, s.lam)
+        trace = forward(params, self.context_chunks, self.spec.targets)
+        l_gen, l_comp, _ = _loss_terms(trace, params, self.spec)
+        return stage_loss(l_gen, l_comp, self.spec.lam)
 
     def grads(self, params: ModelParams) -> Gradients:
         return backward(forward(params, self.context_chunks, self.spec.targets), params, self.spec)

@@ -28,7 +28,7 @@ from compsum.errors import (
     ShapeMismatch,
     StaleTrace,
 )
-from compsum import model
+from compsum import model, training
 from compsum.model import AblationFlags, ForwardTrace, forward, init_params
 from compsum.training import (
     AdamState,
@@ -188,6 +188,13 @@ class TestBackward:
         with pytest.raises(EmptyInput):
             backward(trace, probe.params, LossSpec(lam=0.5, insights=probe.spec.insights))
 
+    def test_contrastive_requires_an_insight(self):
+        probe = gradcheck_probe(3)
+        trace = forward(probe.params, probe.context_chunks, probe.spec.targets)
+        spec = LossSpec(lam=0.5, insights=[], ref_tokens=probe.spec.targets)
+        with pytest.raises(EmptySet):
+            backward(trace, probe.params, spec)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_probe_loss_is_the_trained_stage_loss(self, seed):
         # The finite differences are taken of probe.loss; it must be the
@@ -196,6 +203,18 @@ class TestBackward:
         spec = probe.spec
         trace = forward(probe.params, probe.context_chunks, spec.targets)
         l_gen, l_comp, _ = _losses_and_grads(trace, probe.params, spec)
+        assert probe.loss(probe.params) == stage_loss(l_gen, l_comp, spec.lam)
+
+    def test_probe_loss_runs_no_backward_sweep(self, monkeypatch):
+        probe = gradcheck_probe(0)
+        spec = probe.spec
+        trace = forward(probe.params, probe.context_chunks, spec.targets)
+        l_gen, l_comp, _ = _losses_and_grads(trace, probe.params, spec)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the probe's loss ran a backward sweep")
+
+        monkeypatch.setattr(training, "_backward_stream", no_sweep)
         assert probe.loss(probe.params) == stage_loss(l_gen, l_comp, spec.lam)
 
 
