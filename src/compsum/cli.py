@@ -28,7 +28,7 @@ from .corpus import (
     load_dataset,
     write_dataset,
 )
-from .errors import ConfigError, Error, InvariantError
+from .errors import ConfigError, Error, InvariantError, NonFiniteLogits
 from .ioutil import utf8_lines, write_lines
 from .metrics import DEFAULT_TAU, evaluate_dataset, write_report
 from .model import (
@@ -118,14 +118,14 @@ def _validate(config: RunConfig) -> RunConfig:
     checks: list[tuple[str, bool, str]] = [
         ("stage", config.stage in ("pretrain", "comparative"), "must be pretrain or comparative"),
         ("d", config.d >= 1, "must be >= 1"),
-        # the checkpoint header stores l_chunk as a uint32
+        # the checkpoint header stores l_chunk and key_k as uint32s
         ("l_chunk", 1 <= config.l_chunk < 2**32, "must be in [1, 4294967295]"),
         ("lr", math.isfinite(config.learning_rate) and config.learning_rate > 0,
          "must be finite and > 0"),
         ("epochs", config.epochs >= 0, "must be >= 0"),
         ("lambda", math.isfinite(config.lam) and config.lam >= 0, "must be finite and >= 0"),
         ("seed", config.seed >= 0, "must be >= 0"),
-        ("key_k", config.key_k >= 0, "must be >= 0"),
+        ("key_k", 0 <= config.key_k < 2**32, "must be in [0, 4294967295]"),
         ("max_len", config.max_len >= 1, "must be >= 1"),
         ("temperature", math.isfinite(config.temperature) and config.temperature >= 0,
          "must be finite and >= 0"),
@@ -173,12 +173,12 @@ def _load_vocab_and_data(config: RunConfig):
 
 
 def _load_matching_checkpoint(config: RunConfig, vocab: Vocabulary):
-    params, l_chunk, flags = load_checkpoint(_require_path(config, "checkpoint_in"))
+    params, l_chunk, flags, key_k = load_checkpoint(_require_path(config, "checkpoint_in"))
     if params.V != len(vocab):
         raise ConfigError(
             "vocab", f"vocabulary size {len(vocab)} does not match checkpoint V={params.V}"
         )
-    return params, l_chunk, flags
+    return params, l_chunk, flags, key_k
 
 
 def _final_epoch_mean(records: list[StepRecord], epochs: int, attr: str) -> float:
@@ -221,7 +221,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     records: list[StepRecord] = []
     init = None
     if config.checkpoint_in or config.stage == "comparative":
-        init, _, _ = _load_matching_checkpoint(config, vocab)
+        init = _load_matching_checkpoint(config, vocab)[0]
         if init.d != config.d:
             raise ConfigError("d", f"config d={config.d} but checkpoint has d={init.d}")
     if config.stage == "pretrain":
@@ -229,7 +229,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         params = train_comparative(dataset, init, config, vocab, records.append)
     if config.checkpoint_out:
-        save_checkpoint(config.checkpoint_out, params, config.l_chunk, config.flags)
+        save_checkpoint(config.checkpoint_out, params, config.l_chunk, config.flags, config.key_k)
     if config.report:
         write_lines(config.report, (json.dumps(r.to_record()) for r in records))
     print(
@@ -249,20 +249,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     vocab, dataset = _load_vocab_and_data(config)
-    params, ck_l_chunk, flags = _load_matching_checkpoint(config, vocab)
+    params, l_chunk, flags, key_k = _load_matching_checkpoint(config, vocab)
     out = _require_path(config, "report")
     lines = []
-    contexts = (
-        chunk(model_context(ps, vocab, config.key_k, flags), ck_l_chunk) for ps in dataset
-    )
+    contexts = (chunk(model_context(ps, vocab, key_k), l_chunk) for ps in dataset)
     for ps, (chunks, start) in zip(dataset, prefilled(params, contexts, flags)):
-        if config.temperature == 0.0:
-            ids = greedy_decode(params, chunks, config.max_len, flags, start=start)
-        else:
-            ids = sample_decode(
-                params, chunks, config.max_len, config.temperature, config.seed, flags,
-                start=start,
-            )
+        try:
+            if config.temperature == 0.0:
+                ids = greedy_decode(params, chunks, config.max_len, flags, start=start)
+            else:
+                ids = sample_decode(
+                    params, chunks, config.max_len, config.temperature, config.seed, flags,
+                    start=start,
+                )
+        except NonFiniteLogits as exc:
+            raise NonFiniteLogits(f"example {ps.id!r}: {exc}") from None
         lines.append(json.dumps({"id": ps.id, "summary": " ".join(vocab.decode(ids))}))
     write_lines(out, lines)
     print(f"wrote {len(lines)} summaries to {out}")
@@ -272,10 +273,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     vocab, dataset = _load_vocab_and_data(config)
-    params, ck_l_chunk, flags = _load_matching_checkpoint(config, vocab)
+    params, l_chunk, flags, key_k = _load_matching_checkpoint(config, vocab)
     report = evaluate_dataset(
-        params, dataset, vocab, ck_l_chunk, config.max_len,
-        tau=config.tau, key_k=config.key_k, flags=flags,
+        params, dataset, vocab, l_chunk, config.max_len, tau=config.tau, key_k=key_k, flags=flags
     )
     if config.report:
         write_report(config.report, report)
@@ -317,7 +317,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         params = train_comparative(dataset, params, config, vocab, comp_records.append)
         label = "checkpoint"
         if config.checkpoint_out:
-            save_checkpoint(config.checkpoint_out, params, config.l_chunk, config.flags)
+            save_checkpoint(
+                config.checkpoint_out, params, config.l_chunk, config.flags, config.key_k
+            )
         label = "evaluate"
         report = evaluate_dataset(
             params, dataset, vocab, config.l_chunk, config.max_len,

@@ -84,6 +84,10 @@ class NonFiniteTraining(InvariantError):
     """A training step produced a non-finite loss or gradient norm."""
 
 
+class NonFiniteLogits(InvariantError):
+    """Decoding met logits that are not finite; names the decode position."""
+
+
 class NonFiniteCheckpoint(InvariantError):
     """Parameters to be saved hold a non-finite value; no file is written."""
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from .corpus import EOS, SENTENCE_DELIMITER, Vocabulary, chunk
-from .errors import EmptyDataset
+from .errors import EmptyDataset, NonFiniteLogits
 from .ioutil import write_lines
 from .model import AblationFlags, ModelParams, greedy_decode, model_context, prefilled
 from .training import TrainConfig
@@ -218,9 +218,12 @@ def evaluate_dataset(
         raise EmptyDataset("cannot evaluate an empty dataset")
     flags = flags or AblationFlags()
     rows = []
-    contexts = (chunk(model_context(ps, vocab, key_k, flags), l_chunk) for ps in dataset)
+    contexts = (chunk(model_context(ps, vocab, key_k), l_chunk) for ps in dataset)
     for ps, (chunks, start) in zip(dataset, prefilled(params, contexts, flags)):
-        decoded = greedy_decode(params, chunks, max_len, flags, start=start)
+        try:
+            decoded = greedy_decode(params, chunks, max_len, flags, start=start)
+        except NonFiniteLogits as exc:
+            raise NonFiniteLogits(f"example {ps.id!r}: {exc}") from None
         candidate = vocab.decode(decoded)
         ref_ids = ps.ref_summary[:-1] if ps.ref_summary[-1] == EOS else ps.ref_summary
         reference = vocab.decode(ref_ids)

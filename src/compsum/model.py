@@ -26,7 +26,7 @@ import numpy as np
 from .corpus import BOS, EOS, PAD, RESERVED_TOKENS, SENTENCE_DELIMITER, Chunk, PaperSet
 from .corpus import Vocabulary, assemble_context
 from .errors import CheckpointError, DimensionMismatch, EmptyChunk, EmptyInput
-from .errors import NonFiniteCheckpoint
+from .errors import NonFiniteCheckpoint, NonFiniteLogits
 from .ioutil import atomic_write_bytes
 
 @dataclass
@@ -34,17 +34,11 @@ class AblationFlags:
     """Switches that remove one mechanism at a time."""
 
     disable_memory: bool = False
-    disable_key_extraction: bool = False
-    disable_comparative: bool = False
 
 
-def model_context(
-    paper_set: PaperSet, vocab: Vocabulary, key_k: int, flags: AblationFlags
-) -> list[int]:
+def model_context(paper_set: PaperSet, vocab: Vocabulary, key_k: int) -> list[int]:
     """The context the model reads for a paper set: ``assemble_context``,
-    splitting sentences at the vocabulary's ``SENTENCE_DELIMITER``, with no
-    key sentences when key extraction is ablated."""
-    key_k = 0 if flags.disable_key_extraction else key_k
+    splitting sentences at the vocabulary's ``SENTENCE_DELIMITER``."""
     return assemble_context(paper_set, key_k, vocab.id_of(SENTENCE_DELIMITER))
 
 
@@ -466,9 +460,11 @@ def _decode(
     context_chunks: Sequence[Chunk],
     max_len: int,
     flags: AblationFlags | None,
-    pick: Callable[[np.ndarray], int],
+    pick: Callable[[np.ndarray], int | None],
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[int]:
+    """Decode from the context with ``pick``, which returns the next token of
+    a step's logits, or None when the logits it reads are not finite."""
     if max_len < 1:
         raise EmptyInput("max_len must be >= 1")
     memory_on = flags is None or not flags.disable_memory
@@ -485,12 +481,21 @@ def _decode(
         logits[PAD] = -np.inf
         logits[BOS] = -np.inf
         tok = pick(logits)
+        if tok is None:
+            raise NonFiniteLogits(f"logits not finite at decode position {len(out)}")
         if tok == EOS:
             break
         out.append(tok)
         x = t["E"][tok] + mem if memory_on else t["E"][tok]
         h = cell.step(h, cell.project(x[None])[0])[0]
     return out
+
+
+def _argmax_pick(logits: np.ndarray) -> int | None:
+    # argmax picks a NaN, else a +inf, else the largest logit, so the picked
+    # logit is finite exactly when every logit but a -inf one is.
+    tok = int(np.argmax(logits))
+    return tok if math.isfinite(logits[tok]) else None
 
 
 def greedy_decode(
@@ -503,10 +508,8 @@ def greedy_decode(
     """Argmax decoding; ties resolve to the lowest token id.  Stops at EOS
     (excluded from the output) or after max_len tokens.  Never emits PAD or
     BOS.  ``start``, the context's pair from ``prefill``, skips running the
-    context again."""
-    return _decode(
-        params, context_chunks, max_len, flags, lambda lg: int(np.argmax(lg)), start
-    )
+    context again.  Logits that are not finite raise ``NonFiniteLogits``."""
+    return _decode(params, context_chunks, max_len, flags, _argmax_pick, start)
 
 
 def sample_decode(
@@ -519,7 +522,7 @@ def sample_decode(
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[int]:
     """Temperature sampling from softmax(logits / temperature), seeded;
-    ``start`` as for ``greedy_decode``.
+    ``start`` and non-finite logits as for ``greedy_decode``.
 
     The logits are shifted to a maximum of 0 before the division, so a
     temperature too small for the quotients to stay finite samples the
@@ -529,9 +532,12 @@ def sample_decode(
         raise ValueError("temperature must be finite and > 0 for sampling")
     rng = np.random.default_rng(seed)
 
-    def pick(logits: np.ndarray) -> int:
+    def pick(logits: np.ndarray) -> int | None:
+        top = logits.max()
+        if not math.isfinite(top):
+            return None
         with np.errstate(over="ignore"):
-            scaled = (logits - logits.max()) / temperature
+            scaled = (logits - top) / temperature
         return int(rng.choice(params.V, p=softmax(scaled)))
 
     return _decode(params, context_chunks, max_len, flags, pick, start)
@@ -540,9 +546,9 @@ def sample_decode(
 # --- checkpoints -----------------------------------------------------------
 
 _MAGIC = b"CFG1"
-_VERSION = 2
-# magic, version, d, V, l_chunk, ablation bitmask
-_HEADER = struct.Struct("<4s5I")
+_VERSION = 3
+# magic, version, d, V, l_chunk, ablation bitmask, key_k
+_HEADER = struct.Struct("<4s6I")
 # each tensor record starts with its name's length, then the name
 _NAME_LEN = struct.Struct("<I")
 
@@ -558,12 +564,12 @@ def _flag_bits(flags: AblationFlags) -> int:
 
 
 def save_checkpoint(
-    path: str, params: ModelParams, l_chunk: int, flags: AblationFlags
+    path: str, params: ModelParams, l_chunk: int, flags: AblationFlags, key_k: int = 2
 ) -> None:
     """Binary checkpoint: fixed header, then named float64 row-major tensors.
 
     Header (``_HEADER``): magic 'CFG1', version, d, V, l_chunk, ablation
-    bitmask (all little-endian uint32 after the magic).  Each tensor, in
+    bitmask, key_k (all little-endian uint32 after the magic).  Each tensor, in
     TENSOR_NAMES order: its record head (``_record_head``: name length, name
     bytes), then its little-endian float64 values; ``tensor_shapes(d, V)``
     fixes every shape.  Non-finite values raise ``NonFiniteCheckpoint`` before
@@ -574,20 +580,21 @@ def save_checkpoint(
             raise NonFiniteCheckpoint(
                 f"checkpoint {path!r} not written: tensor '{name}' holds non-finite values"
             )
-    parts = [_HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, _flag_bits(flags))]
+    parts = [_HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, _flag_bits(flags), key_k)]
     for name in TENSOR_NAMES:
         parts += (_record_head(name), params.tensors[name].astype("<f8").tobytes())
     atomic_write_bytes(path, b"".join(parts))
 
 
-def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags]:
-    """Read a checkpoint, validating header, names, shapes, and finiteness;
-    each size is checked against the file before it is read or allocated."""
+def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags, int]:
+    """Read a checkpoint as (params, l_chunk, flags, key_k), validating
+    header, names, shapes, and finiteness; each size is checked against the
+    file before it is read or allocated."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
         raise CheckpointError(path, "truncated")
-    magic, version, d, V, l_chunk, bits = _HEADER.unpack_from(data)
+    magic, version, d, V, l_chunk, bits, key_k = _HEADER.unpack_from(data)
     if magic != _MAGIC:
         raise CheckpointError(path, "bad magic number")
     if version != _VERSION:
@@ -620,4 +627,4 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags]:
     if off != len(data):
         raise CheckpointError(path, "trailing bytes")
     flags = AblationFlags(**{name: bool(bits >> i & 1) for i, name in enumerate(names)})
-    return ModelParams(d, V, tensors), l_chunk, flags
+    return ModelParams(d, V, tensors), l_chunk, flags, key_k

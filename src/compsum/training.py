@@ -1,11 +1,14 @@
 """Losses, exact backpropagation, optimizer, and the two training stages.
 
 The scalar objective per example is ``l_stage = l_gen + lambda * l_comp``:
-mean next-token cross-entropy plus a weighted contrastive term that pulls the
-encodings of per-paper insight fragments toward the encoding of the reference
-summary.  Gradients are hand-derived reverse-mode passes over the recorded
-forward traces and are verified against central finite differences by
-:func:`finite_difference_check`.
+mean next-token cross-entropy plus a weighted contrastive term over the
+similarities s_i = cos(insight_i, ref) of the per-paper insight encodings to
+the reference-summary encoding.  That term, n * logsumexp(s) - sum(s), does
+not change when every s_i moves by one constant (its gradient in s sums to
+0), so it pulls an example's similarities toward each other, not toward the
+reference; with one insight it is 0.  Gradients are hand-derived
+reverse-mode passes over the recorded forward traces and are verified
+against central finite differences by :func:`finite_difference_check`.
 
 Stage one (``train_pretrain``) is next-token MLE over the flattened
 context+summary stream; stage two (``train_comparative``) teacher-forces the
@@ -518,7 +521,9 @@ class TrainConfig:
 
 @dataclass
 class StepRecord:
-    """One training-log line."""
+    """One training-log line.  ``grad_norm`` is the global gradient norm
+    before clipping, so the step was clipped when it exceeds
+    ``TrainConfig.clip_norm``."""
 
     step: int
     epoch: int
@@ -526,6 +531,7 @@ class StepRecord:
     l_comp: float
     lam: float
     l_stage: float
+    grad_norm: float
 
     def to_record(self) -> dict:
         """The fields in declaration order, ``lam`` written as ``lambda``."""
@@ -566,7 +572,7 @@ def _train(
                 )
             optimizer_step(params, grads, state, config)
             if log_fn is not None:
-                log_fn(StepRecord(step, epoch, l_gen, l_comp, spec.lam, l_stage))
+                log_fn(StepRecord(step, epoch, l_gen, l_comp, spec.lam, l_stage, norm))
     return params
 
 
@@ -586,7 +592,7 @@ def train_pretrain(
     params = init.copy() if init is not None else init_params(config.d, len(vocab), config.seed)
     examples = []
     for ps in corpus:
-        stream = model_context(ps, vocab, config.key_k, config.flags) + ps.ref_summary
+        stream = model_context(ps, vocab, config.key_k) + ps.ref_summary
         ids, spans = _chunk_layout(chunk(stream[:-1], config.l_chunk))
         examples.append((ids, spans, 0, LossSpec(targets=stream[1:])))
     return _train(params, examples, config, "pretrain", log_fn)
@@ -599,22 +605,19 @@ def train_comparative(
     vocab: Vocabulary,
     log_fn: LogFn | None = None,
 ) -> ModelParams:
-    """Stage two: teacher-forced summary cross-entropy plus the weighted
-    contrastive term.
-
-    ``flags.disable_comparative`` forces the effective weight to zero, making
-    the run exactly MLE fine-tuning.  Raises MissingInsights for an example
-    with no non-empty insight while the weight is positive.
+    """Stage two: teacher-forced summary cross-entropy plus the contrastive
+    term at weight ``config.lam``; a weight of zero makes the run exactly MLE
+    fine-tuning.  Raises MissingInsights for an example with no non-empty
+    insight while the weight is positive.
     """
     if len(dataset) == 0:
         raise EmptyCorpus("fine-tuning dataset is empty")
-    lam = 0.0 if config.flags.disable_comparative else config.lam
     examples = []
     for ps in dataset:
-        context = chunk(model_context(ps, vocab, config.key_k, config.flags), config.l_chunk)
+        context = chunk(model_context(ps, vocab, config.key_k), config.l_chunk)
         insights = [doc.insight for doc in ps.docs if doc.insight]
-        if lam != 0.0 and not insights:
+        if config.lam != 0.0 and not insights:
             raise MissingInsights(f"example {ps.id!r} has no non-empty insight but lambda > 0")
-        spec = LossSpec(ps.ref_summary, lam, insights, ps.ref_summary)
+        spec = LossSpec(ps.ref_summary, config.lam, insights, ps.ref_summary)
         examples.append((*_teacher_forced_layout(context, ps.ref_summary), spec))
     return _train(init.copy(), examples, config, "comparative", log_fn)

@@ -94,12 +94,9 @@ def _recall_accuracy(workdir, seed, disable_memory):
     warm = TrainConfig(
         learning_rate=0.005, epochs=1, l_chunk=16,
         d=32, seed=seed, key_k=0,
-        flags=AblationFlags(disable_memory=True, disable_key_extraction=True),
+        flags=AblationFlags(disable_memory=True),
     )
-    main = replace(
-        warm, epochs=9,
-        flags=AblationFlags(disable_memory=disable_memory, disable_key_extraction=True),
-    )
+    main = replace(warm, epochs=9, flags=AblationFlags(disable_memory=disable_memory))
     t0 = time.perf_counter()
     params = train_pretrain(train, warm, vocab)
     params = train_pretrain(train, main, vocab, init=params)
@@ -290,12 +287,12 @@ class TestAcceptance:
         # the metrics can see, not just which wrong token is substituted.
         full, _ = _run_pipeline(tmp_path, "full", epochs=4)
         flips = {}
-        for name, flag in (
-            ("memory", "disable_memory"),
-            ("keys", "disable_key_extraction"),
-            ("comparative", "disable_comparative"),
+        for name, setting in (
+            ("memory", {"disable_memory": "true"}),
+            ("keys", {"key_k": "0"}),
+            ("comparative", {"lambda": "0"}),
         ):
-            report, _ = _run_pipeline(tmp_path, name, epochs=4, **{flag: "true"})
+            report, _ = _run_pipeline(tmp_path, name, epochs=4, **setting)
             flips[name] = report != full
         _criterion(
             "ablation reports differ",

@@ -60,14 +60,13 @@ class TestLoadConfig:
     def test_typed_values_parsed(self, tmp_path):
         cfg = load_config(write_config(
             tmp_path, stage="comparative", lr="0.01", epochs="7",
-            disable_memory="true", disable_comparative="false", data="x.jsonl",
+            disable_memory="true", key_k="0", data="x.jsonl",
         ))
         assert cfg.stage == "comparative"
         assert cfg.learning_rate == 0.01
         assert cfg.epochs == 7
         assert cfg.flags.disable_memory is True
-        assert cfg.flags.disable_comparative is False
-        assert cfg.flags.disable_key_extraction is False
+        assert cfg.key_k == 0
 
     def test_whitespace_around_separator(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -117,6 +116,7 @@ class TestLoadConfig:
             ("lambda=inf", "lambda"),
             ("seed=-1", "seed"),
             ("key_k=-1", "key_k"),
+            ("key_k=4294967296", "key_k"),
             ("max_len=0", "max_len"),
             ("temperature=-1", "temperature"),
             ("temperature=inf", "temperature"),
@@ -191,14 +191,16 @@ class TestSubcommands:
 
     def test_pretrain_outputs(self, workspace):
         _, paths = workspace
-        params, l_chunk, _ = load_checkpoint(paths["ckpt"])
-        assert params.d == 8 and l_chunk == 16
+        params, l_chunk, _, key_k = load_checkpoint(paths["ckpt"])
+        assert params.d == 8 and l_chunk == 16 and key_k == 2
         vocab_size = len(open(paths["vocab"], encoding="utf-8").read().splitlines()) - 1
         assert params.V == vocab_size
         log = [json.loads(line) for line in open(paths["log"], encoding="utf-8")]
         assert len(log) == 5  # one step per example, one epoch
         for record in log:
-            assert list(record) == ["step", "epoch", "l_gen", "l_comp", "lambda", "l_stage"]
+            assert list(record) == [
+                "step", "epoch", "l_gen", "l_comp", "lambda", "l_stage", "grad_norm"
+            ]
 
     def test_train_stage_report_on_stdout(self, workspace):
         root, paths = workspace
@@ -314,6 +316,31 @@ class TestSubcommands:
         assert code == 2
         assert err == f"error: checkpoint '{path}': unsupported checkpoint version 1\n"
 
+    def test_version_2_checkpoint_rejected(self, workspace):
+        # version 2: the same header without key_k, then the same records
+        data = open(workspace[1]["ckpt"], "rb").read()
+        d, V, l_chunk, bits, _ = struct.unpack_from("<5I", data, 8)
+        v2 = struct.pack("<4s5I", b"CFG1", 2, d, V, l_chunk, bits) + data[28:]
+        code, err, path = self._evaluate_with_checkpoint(workspace, "v2.ckpt", v2)
+        assert code == 2
+        assert err == f"error: checkpoint '{path}': unsupported checkpoint version 2\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "generate"])
+    def test_context_layout_comes_from_the_checkpoint(self, workspace, command):
+        # the workspace checkpoint was trained at the default key_k and l_chunk
+        root, paths = workspace
+        assert load_checkpoint(paths["ckpt"])[1::2] == (16, 2)
+        outputs = []
+        for name, layout in (("trained", {}), ("other", {"key_k": "0", "l_chunk": "3"})):
+            report = str(root / f"layout_{command}_{name}.jsonl")
+            cfg = write_config(root, f"layout_{command}_{name}.cfg", data=paths["data"],
+                               vocab=paths["vocab"], checkpoint_in=paths["ckpt"],
+                               report=report, max_len="20", **layout)
+            code, _, err = invoke([command, "--config", cfg])
+            assert code == 0, err
+            outputs.append(open(report, "rb").read())
+        assert outputs[0] == outputs[1]
+
     def test_unknown_ablation_bits_rejected(self, workspace):
         data = bytearray(open(workspace[1]["ckpt"], "rb").read())
         data[20:24] = struct.pack("<I", 9)  # disable_memory plus an unknown bit 3
@@ -339,6 +366,27 @@ class TestSubcommands:
         cfg = write_config(root, "mismatch.cfg", data=paths["data"],
                            vocab=str(other_vocab), checkpoint_in=paths["ckpt"])
         assert invoke(["evaluate", "--config", cfg])[0] == 2
+
+    @pytest.mark.parametrize("command,temperature", [
+        ("evaluate", "0"), ("generate", "0"), ("generate", "0.7"),
+    ])
+    def test_overflowing_logits_exit_3(self, workspace, command, temperature):
+        # A finite checkpoint whose logit for token 10 overflows: the gate
+        # biases saturate every hidden state to exactly 1, so that logit is
+        # the sum of d = 8 values of 1e308.
+        root, paths = workspace
+        params, l_chunk, flags, key_k = load_checkpoint(paths["ckpt"])
+        params.tensors["b_z"][:] = params.tensors["b_h"][:] = 1e3
+        params.tensors["W_o"][10] = 1e308
+        ckpt = str(root / "overflow.ckpt")
+        save_checkpoint(ckpt, params, l_chunk, flags, key_k)
+        cfg = write_config(root, f"overflow_{command}_{temperature}.cfg", data=paths["data"],
+                           vocab=paths["vocab"], checkpoint_in=ckpt,
+                           report=str(root / "overflow.jsonl"), temperature=temperature)
+        code, _, err = invoke([command, "--config", cfg])
+        first_id = json.loads(open(paths["data"], encoding="utf-8").readline())["id"]
+        assert code == 3
+        assert err == f"error: example {first_id!r}: logits not finite at decode position 0\n"
 
     def test_non_finite_parameters_write_no_checkpoint(self, workspace, monkeypatch):
         root, paths = workspace
@@ -452,7 +500,9 @@ class TestPipeline:
             assert (tmp_path / name).exists()
 
     def test_final_epoch_mean_sums_left_to_right(self):
-        records = [StepRecord(i, 1, v, 0.0, 0.0, v) for i, v in enumerate((1e16, 1.0, -1e16), 1)]
+        records = [
+            StepRecord(i, 1, v, 0.0, 0.0, v, 0.0) for i, v in enumerate((1e16, 1.0, -1e16), 1)
+        ]
         assert cli._final_epoch_mean(records, 1, "l_gen") == 0.0
 
     def test_stage_label_on_failure(self, tmp_path):
@@ -615,7 +665,7 @@ class TestExports:
         flags = [("flags", f.name) for f in fields(AblationFlags)]
         own = [(f.name,) for f in fields(RunConfig) if f.name != "flags"]
         assert sorted(paths) == sorted(own + flags)
-        assert len(_CONFIG_KEYS) == 22
+        assert len(_CONFIG_KEYS) == 20
         assert _CONFIG_KEYS["lambda"][0] == ("lam",)
         assert _CONFIG_KEYS["lr"][0] == ("learning_rate",)
         assert _CONFIG_KEYS["disable_memory"][0] == ("flags", "disable_memory")

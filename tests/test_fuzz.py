@@ -1,12 +1,13 @@
 """Property tests of the four loaders of outside bytes: config files,
-dataset JSONL, vocabulary files and checkpoints, and of whole pipeline runs
-from hostile config values.
+dataset JSONL, vocabulary files and checkpoints, of whole pipeline runs
+from hostile config values, and of the commands that run a loaded model on
+finite checkpoints with extreme values.
 
 Each input is a small valid file, cut short, bit-flipped, or given invalid
 UTF-8, deep nesting or huge header sizes and counts.  Every input must load
 or raise ``compsum.Error`` or ``OSError``, the exceptions ``cli.run`` maps to
 exit codes 2 and 3; anything else would end the program in a traceback.
-A checkpoint that loads must save back to the same bytes.  A pipeline run
+A checkpoint that loads must save back to the same bytes.  A command run
 must end in exit code 0, 2 or 3 with at most one line on stderr.
 The examples are derandomized, so every run tries the same inputs.
 """
@@ -163,8 +164,8 @@ def test_vocabulary_load(valid_files, work_dir, mutated):
 
 def _u32_offsets(d: int, V: int) -> list[int]:
     """Offsets of the header's uint32 values and of every tensor's name length."""
-    offsets = [4, 8, 12, 16, 20]
-    at = 24
+    offsets = [4, 8, 12, 16, 20, 24]
+    at = 28
     shapes = tensor_shapes(d, V)
     for name in TENSOR_NAMES:
         offsets.append(at)
@@ -202,8 +203,7 @@ SMALL_KEYS = {"synth_count": 3, "d": 4, "epochs": 1, "max_len": 4}
 # Every other key but the paths; a run sets up to three of them to any text.
 FREE_KEYS = (
     "stage", "lr", "lambda", "l_chunk", "seed", "key_k", "temperature", "tau",
-    "min_freq", "synth_seed", "disable_memory", "disable_key_extraction",
-    "disable_comparative",
+    "min_freq", "synth_seed", "disable_memory",
 )
 HOSTILE_VALUES = (
     "", "x", "nan", "-nan", "inf", "-inf", "1e999", "1e308", "-1", "0", "1", "0.5", "1e-320",
@@ -240,16 +240,65 @@ def test_pipeline_run(small, free):
                 ("checkpoint_out", "model.ckpt"), ("report", "report.jsonl"),
             )
         }
-        config = Path(tmp, "run.cfg")
-        lines = [f"{key}={value}" for key, value in {**paths, **small, **free}.items()]
-        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
-                redirect_stdout(io.StringIO()):
-            warnings.simplefilter("always")
-            code = run(["pipeline", "--config", str(config)])
+        run_checked("pipeline", Path(tmp, "run.cfg"), {**paths, **small, **free})
+
+
+def run_checked(command: str, config: Path, keys: dict) -> None:
+    """Write ``keys`` to ``config`` and run ``command`` on it through
+    ``cli.run``: it must exit 0, 2 or 3 with at most one stderr line and
+    no warning."""
+    lines = [f"{key}={value}" for key, value in keys.items()]
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = run([command, "--config", str(config)])
     err = err.getvalue()
     assert code in (0, 2, 3)
     assert len(err.splitlines()) <= 1, err
     # a warning would print on the command line's stderr too
     assert not caught, [str(w.message) for w in caught]
+
+
+# The commands that run a loaded model, with their own keys.
+LOADED_MODEL_RUNS = (
+    ("evaluate", {}),
+    ("generate", {"temperature": 0}),
+    ("generate", {"temperature": 0.7}),
+    ("train", {"stage": "comparative", "epochs": 1}),
+)
+EXPONENT_BITS = 0x7FF << 52
+
+
+def _with_exponent(value: float, exponent: int) -> float:
+    """``value`` with its float64 exponent field set to ``exponent``; below
+    2047 the result stays finite."""
+    raw = struct.unpack("<Q", struct.pack("<d", value))[0]
+    return struct.unpack("<d", struct.pack("<Q", raw & ~EXPONENT_BITS | exponent << 52))[0]
+
+
+@settings(FUZZ, max_examples=25)
+@given(data=st.data())
+def test_commands_run_a_loaded_model(valid_files, work_dir, data):
+    root, vocab = valid_files
+    params = init_params(2, len(vocab), 0)
+    for name in TENSOR_NAMES:
+        # None keeps the tensor; half the other draws are near the largest
+        # finite exponent, where sums overflow
+        exponent = data.draw(st.one_of(st.none(), st.integers(0, 2046), st.integers(2040, 2046)))
+        if exponent is not None:
+            flat = params.tensors[name].reshape(-1)
+            one = st.integers(0, flat.size - 1).map(lambda i: [i])
+            for i in data.draw(st.one_of(one, st.just(range(flat.size)))):
+                flat[i] = _with_exponent(flat[i], exponent)
+    checkpoint = str(work_dir / "loaded.ckpt")
+    flags = AblationFlags(disable_memory=data.draw(st.booleans()))
+    save_checkpoint(checkpoint, params, 4, flags, data.draw(st.integers(0, 2)))
+    keys = {
+        "data": root / "data.jsonl", "vocab": root / "vocab.txt",
+        "checkpoint_in": checkpoint, "checkpoint_out": work_dir / "trained.ckpt",
+        "report": work_dir / "out.jsonl", "d": 2, "max_len": 6,
+    }
+    for command, own in LOADED_MODEL_RUNS:
+        run_checked(command, work_dir / "loaded.cfg", {**keys, **own})

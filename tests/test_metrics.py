@@ -284,9 +284,9 @@ class TestEvaluateDataset:
 
     def test_ablation_flags_complete(self, setup):
         params, dataset, vocab = setup
-        for flags in (AblationFlags(disable_memory=True),
-                      AblationFlags(disable_key_extraction=True)):
-            report = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=flags)
+        for flags, key_k in ((AblationFlags(disable_memory=True), 2), (AblationFlags(), 0)):
+            args = dict(EVAL_ARGS, key_k=key_k)
+            report = evaluate_dataset(params, dataset, vocab, **args, flags=flags)
             assert len(report.rows) == 3
 
     def test_report_file_round_trip(self, setup, tmp_path):

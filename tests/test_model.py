@@ -15,6 +15,7 @@ from compsum.errors import (
     EmptyChunk,
     EmptyInput,
     NonFiniteCheckpoint,
+    NonFiniteLogits,
     SchemaError,
 )
 from compsum.model import (
@@ -33,6 +34,7 @@ from compsum.model import (
     softmax,
     tensor_shapes,
 )
+from compsum.training import TrainConfig
 
 
 def cell_step(params, h_prev, x):
@@ -345,32 +347,49 @@ class TestDecode:
         with pytest.raises(EmptyInput):
             greedy_decode(p, chunk([BOS], 1), 0)
 
+    @pytest.mark.parametrize("temperature", [0.0, 0.7])
+    @pytest.mark.parametrize("logit", [np.inf, np.nan, -np.inf])
+    def test_non_finite_logits_raise(self, temperature, logit):
+        # -inf is put in every row, so no logit is finite
+        p = self._rigged([9])
+        p.tensors["b_o"][slice(None) if logit == -np.inf else 10] = logit
+        with pytest.raises(NonFiniteLogits, match="^logits not finite at decode position 0$"):
+            if temperature == 0.0:
+                greedy_decode(p, chunk([BOS, 7], 2), 5)
+            else:
+                sample_decode(p, chunk([BOS, 7], 2), 5, temperature, seed=0)
+
 
 class TestCheckpoint:
-    def _save(self, tmp_path, flags=AblationFlags(), l_chunk=5):
+    def _save(self, tmp_path, flags=AblationFlags(), l_chunk=5, **key_k):
         params = init_params(4, 11, 6)
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, params, l_chunk, flags)
+        save_checkpoint(path, params, l_chunk, flags, **key_k)
         return path, params
 
     def test_round_trip_bitwise(self, tmp_path):
-        flags = AblationFlags(disable_memory=True, disable_comparative=True)
-        path, params = self._save(tmp_path, flags, l_chunk=9)
-        loaded, l_chunk, got_flags = load_checkpoint(path)
-        assert (loaded.d, loaded.V, l_chunk) == (4, 11, 9)
+        flags = AblationFlags(disable_memory=True)
+        path, params = self._save(tmp_path, flags, l_chunk=9, key_k=7)
+        loaded, l_chunk, got_flags, key_k = load_checkpoint(path)
+        assert (loaded.d, loaded.V, l_chunk, key_k) == (4, 11, 9, 7)
         assert got_flags == flags
         for name, tensor in params.tensors.items():
             assert np.array_equal(loaded[name], tensor)
 
     def test_flag_bits_round_trip(self, tmp_path):
-        for flags in (
-            AblationFlags(),
-            AblationFlags(disable_memory=True),
-            AblationFlags(disable_key_extraction=True),
-            AblationFlags(disable_comparative=True),
-        ):
+        for flags in (AblationFlags(), AblationFlags(disable_memory=True)):
             path, _ = self._save(tmp_path, flags)
             assert load_checkpoint(path)[2] == flags
+
+    @pytest.mark.parametrize("key_k", [0, 2**32 - 1])
+    def test_key_k_round_trip(self, tmp_path, key_k):
+        path, _ = self._save(tmp_path, key_k=key_k)
+        assert load_checkpoint(path)[3] == key_k
+
+    def test_key_k_defaults_to_the_training_default(self, tmp_path):
+        # the benchmark saves with four arguments
+        path, _ = self._save(tmp_path)
+        assert load_checkpoint(path)[3] == TrainConfig.key_k
 
     def test_idempotent_bytes(self, tmp_path):
         path, params = self._save(tmp_path)
@@ -378,26 +397,27 @@ class TestCheckpoint:
         save_checkpoint(path, params, 5, AblationFlags())
         assert open(path, "rb").read() == first
 
-    def _corrupt(self, tmp_path, mutate):
+    def _corrupt(self, tmp_path, mutate, match=None):
         path, _ = self._save(tmp_path)
         data = bytearray(open(path, "rb").read())
         data = mutate(data)
         open(path, "wb").write(bytes(data))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=match):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         self._corrupt(tmp_path, lambda d: b"XXXX" + d[4:])
 
     def test_bad_version(self, tmp_path):
-        def mutate(d):
-            d[4:8] = struct.pack("<I", 99)
-            return d
-        self._corrupt(tmp_path, mutate)
+        for version in (1, 2, 99):
+            def mutate(d):
+                d[4:8] = struct.pack("<I", version)
+                return d
+            self._corrupt(tmp_path, mutate, f"unsupported checkpoint version {version}$")
 
-    @pytest.mark.parametrize("bits", [8, 9, 2**32 - 1])
+    @pytest.mark.parametrize("bits", [2, 3, 8, 9, 2**32 - 1])
     def test_unknown_flag_bits_rejected(self, tmp_path, bits):
-        # bit 3 and above name no field of AblationFlags
+        # bit 1 and above name no field of AblationFlags
         def mutate(d):
             d[20:24] = struct.pack("<I", bits)
             return d
@@ -429,9 +449,9 @@ class TestCheckpoint:
 
     def test_tensor_name_mismatch(self, tmp_path):
         def mutate(d):
-            # first tensor name is a single byte at offset 28 ('E')
-            assert d[28:29] == b"E"
-            d[28] = ord("X")
+            # first tensor name is a single byte at offset 32 ('E')
+            assert d[32:33] == b"E"
+            d[32] = ord("X")
             return d
         self._corrupt(tmp_path, mutate)
 

@@ -29,7 +29,7 @@ from compsum.errors import (
     StaleTrace,
 )
 from compsum import model, training
-from compsum.model import AblationFlags, ForwardTrace, forward, init_params
+from compsum.model import ForwardTrace, forward, init_params
 from compsum.training import (
     AdamState,
     LossSpec,
@@ -390,6 +390,21 @@ class TestTrainingLoops:
         assert {r.epoch for r in records} == {1, 2}
         assert all(r.lam == 0.0 and r.l_stage == r.l_gen for r in records)
 
+    def test_log_records_the_pre_clip_gradient_norm(self, tiny_data, monkeypatch):
+        corpus, vocab = tiny_data
+        norms = []
+        clip = training.clip_gradients
+
+        def recording(grads, max_norm):
+            norms.append(clip(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(training, "clip_gradients", recording)
+        records = []
+        train_pretrain(corpus, self._config(epochs=2), vocab, log_fn=records.append)
+        assert len(norms) == len(records)
+        assert [r.grad_norm for r in records] == norms
+
     def test_empty_corpus_rejected(self, tiny_data):
         _, vocab = tiny_data
         with pytest.raises(EmptyCorpus):
@@ -446,17 +461,3 @@ class TestTrainingLoops:
         with pytest.raises(MissingInsights):
             train_comparative(corpus, init, self._config(lam=0.5), vocab)
 
-    def test_disable_comparative_equals_zero_weight(self, tmp_path):
-        corpus, vocab = self._insightless(tmp_path)
-        init = init_params(8, len(vocab), 0)
-        flagged = train_comparative(
-            corpus, init,
-            self._config(lam=0.5,
-                         flags=AblationFlags(disable_comparative=True)),
-            vocab,
-        )
-        unweighted = train_comparative(
-            corpus, init, self._config(lam=0.0), vocab
-        )
-        for name in flagged.tensors:
-            assert np.array_equal(flagged[name], unweighted[name])
