@@ -13,9 +13,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
-from functools import reduce
-from typing import Callable, Iterator, Sequence, get_type_hints
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .errors import ConfigError, Error, InvariantError, NonFiniteLogits
 from .ioutil import utf8_lines, write_lines
 from .metrics import DEFAULT_TAU, evaluate_dataset, write_report
 from .model import (
+    AblationFlags,
     greedy_decode,
     load_checkpoint,
     model_context,
@@ -95,22 +95,11 @@ _PARSERS: dict[type, Callable[[str, str], object]] = {
 _RENAMED_KEYS = {"lam": "lambda", "learning_rate": "lr"}
 
 
-def _leaf_fields(cls: type, owner: tuple[str, ...] = ()) -> Iterator[tuple[tuple[str, ...], type]]:
-    """(attribute path, type) of each field of dataclass ``cls``, with the
-    fields of a nested dataclass (the ablation flags) in place of it."""
-    hints = get_type_hints(cls)
-    for f in fields(cls):
-        if is_dataclass(hints[f.name]):
-            yield from _leaf_fields(hints[f.name], owner + (f.name,))
-        else:
-            yield owner + (f.name,), hints[f.name]
-
-
-# key -> (attribute path, parser), one per leaf field of RunConfig, the
-# parser chosen by the field's type.  Parsers take (key, raw-string).
-_CONFIG_KEYS: dict[str, tuple[tuple[str, ...], Callable]] = {
-    _RENAMED_KEYS.get(path[-1], path[-1]): (path, _PARSERS[kind])
-    for path, kind in _leaf_fields(RunConfig)
+_HINTS = get_type_hints(RunConfig)
+# key -> (field name, parser), one per field of RunConfig, the parser chosen
+# by the field's type.  Parsers take (key, raw-string).
+_CONFIG_KEYS: dict[str, tuple[str, Callable]] = {
+    _RENAMED_KEYS.get(f.name, f.name): (f.name, _PARSERS[_HINTS[f.name]]) for f in fields(RunConfig)
 }
 
 
@@ -154,8 +143,8 @@ def load_config(path: str) -> RunConfig:
         raw = raw.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(key, "unknown key")
-        path, parse = _CONFIG_KEYS[key]
-        setattr(reduce(getattr, path[:-1], config), path[-1], parse(key, raw))
+        name, parse = _CONFIG_KEYS[key]
+        setattr(config, name, parse(key, raw))
     return _validate(config)
 
 
@@ -229,7 +218,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         params = train_comparative(dataset, init, config, vocab, records.append)
     if config.checkpoint_out:
-        save_checkpoint(config.checkpoint_out, params, config.l_chunk, config.flags, config.key_k)
+        flags = AblationFlags(config.disable_memory)
+        save_checkpoint(config.checkpoint_out, params, config.l_chunk, flags, config.key_k)
     if config.report:
         write_lines(config.report, (json.dumps(r.to_record()) for r in records))
     print(
@@ -298,6 +288,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     A failure after the config is loaded propagates with the label of the
     stage it happened in, as its ``pipeline_stage`` attribute."""
     config = load_config(args.config)
+    flags = AblationFlags(config.disable_memory)
     label = "synth"
     try:
         if config.synth_count > 0:
@@ -317,13 +308,11 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         params = train_comparative(dataset, params, config, vocab, comp_records.append)
         label = "checkpoint"
         if config.checkpoint_out:
-            save_checkpoint(
-                config.checkpoint_out, params, config.l_chunk, config.flags, config.key_k
-            )
+            save_checkpoint(config.checkpoint_out, params, config.l_chunk, flags, config.key_k)
         label = "evaluate"
         report = evaluate_dataset(
             params, dataset, vocab, config.l_chunk, config.max_len,
-            tau=config.tau, key_k=config.key_k, flags=config.flags,
+            tau=config.tau, key_k=config.key_k, flags=flags,
         )
         if config.report:
             write_report(config.report, report)

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .errors import EmptyInput, SchemaError
+from .errors import InvariantError, SchemaError
 from .ioutil import utf8_lines, write_lines
 
 # Reserved ids are pinned so checkpoints and encoded datasets stay
@@ -160,7 +160,7 @@ def chunk(tokens: Sequence[int], l_chunk: int) -> list[Chunk]:
     if l_chunk < 1:
         raise ValueError("l_chunk must be >= 1")
     if len(tokens) == 0:
-        raise EmptyInput("cannot chunk an empty token sequence")
+        raise InvariantError("cannot chunk an empty token sequence")
     return [Chunk(list(tokens[s : s + l_chunk])) for s in range(0, len(tokens), l_chunk)]
 
 
@@ -189,7 +189,7 @@ def extract_key_elements(
     result is returned in source order as (start, end) spans into the body.
     """
     if len(doc.body) == 0:
-        raise EmptyInput("cannot extract key elements from an empty body")
+        raise InvariantError("cannot extract key elements from an empty body")
     if k <= 0:
         return []
     spans = _sentence_spans(doc.body, period_id)
@@ -200,7 +200,8 @@ def extract_key_elements(
     idf = {tok: math.log(n / c) for tok, c in df.items()}
     scored = []
     for rank, (s, e) in enumerate(spans):
-        score = sum(idf[tok] for tok in doc.body[s:e])
+        # Rounded once, so sentences holding the same tokens tie in any order.
+        score = math.fsum(idf[tok] for tok in doc.body[s:e])
         scored.append((-score, rank, (s, e)))
     scored.sort()
     top = [span for _, _, span in scored[:k]]

@@ -2,7 +2,8 @@
 
 Two families: ``DataError`` for bad external input (files, schemas, config
 values) and ``InvariantError`` for violated internal contracts.  The CLI maps
-them to exit codes 2 and 3 respectively.
+them to exit codes 2 and 3 respectively.  A subclass exists only where it
+carries data or some code catches it by name.
 """
 
 
@@ -44,53 +45,5 @@ class ConfigError(DataError):
         self.reason = reason
 
 
-class EmptyCorpus(DataError):
-    """A training routine received no examples."""
-
-
-class EmptyDataset(DataError):
-    """An evaluation routine received no examples."""
-
-
-class MissingInsights(DataError):
-    """Contrastive fine-tuning needs at least one non-empty insight per example."""
-
-
-class EmptyInput(InvariantError):
-    """An operation that requires a non-empty sequence received an empty one."""
-
-
-class EmptyChunk(InvariantError):
-    """A memory update was asked to attend over zero hidden states."""
-
-
-class EmptySet(InvariantError):
-    """The contrastive loss needs at least one insight vector."""
-
-
-class DimensionMismatch(InvariantError):
-    """Vector or matrix dimensions disagree with the model configuration."""
-
-
-class ShapeMismatch(InvariantError):
-    """Gradient or optimizer-state shapes disagree with the parameters."""
-
-
-class LengthMismatch(InvariantError):
-    """Logit rows and target positions disagree in count."""
-
-
-class NonFiniteTraining(InvariantError):
-    """A training step produced a non-finite loss or gradient norm."""
-
-
 class NonFiniteLogits(InvariantError):
     """Decoding met logits that are not finite; names the decode position."""
-
-
-class NonFiniteCheckpoint(InvariantError):
-    """Parameters to be saved hold a non-finite value; no file is written."""
-
-
-class StaleTrace(InvariantError):
-    """A cached forward trace does not match the parameters it is paired with."""

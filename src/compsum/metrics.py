@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from .corpus import EOS, SENTENCE_DELIMITER, Vocabulary, chunk
-from .errors import EmptyDataset, NonFiniteLogits
+from .errors import DataError, NonFiniteLogits
 from .ioutil import write_lines
 from .model import AblationFlags, ModelParams, greedy_decode, model_context, prefilled
 from .training import TrainConfig
@@ -215,7 +215,7 @@ def evaluate_dataset(
     checkpoint and dataset.
     """
     if len(dataset) == 0:
-        raise EmptyDataset("cannot evaluate an empty dataset")
+        raise DataError("cannot evaluate an empty dataset")
     flags = flags or AblationFlags()
     rows = []
     contexts = (chunk(model_context(ps, vocab, key_k), l_chunk) for ps in dataset)

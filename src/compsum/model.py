@@ -25,8 +25,7 @@ import numpy as np
 
 from .corpus import BOS, EOS, PAD, RESERVED_TOKENS, SENTENCE_DELIMITER, Chunk, PaperSet
 from .corpus import Vocabulary, assemble_context
-from .errors import CheckpointError, DimensionMismatch, EmptyChunk, EmptyInput
-from .errors import NonFiniteCheckpoint, NonFiniteLogits
+from .errors import CheckpointError, InvariantError, NonFiniteLogits
 from .ioutil import atomic_write_bytes
 
 @dataclass
@@ -83,7 +82,7 @@ def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
     """Uniform(-scale, scale) init, tensors drawn in TENSOR_NAMES order.
     ``V`` must cover the reserved tokens, as ``load_checkpoint`` requires."""
     if d < 1 or V < len(RESERVED_TOKENS):
-        raise DimensionMismatch(f"bad model size d={d}, V={V}")
+        raise InvariantError(f"bad model size d={d}, V={V}")
     shapes = tensor_shapes(d, V)
     # Checked before drawing: an allocator may grant more than fits in memory.
     # Where the OS does not report its memory (no os.sysconf), or a cgroup
@@ -187,7 +186,7 @@ def memory_update(
     g = sigmoid(W_g [mem_prev; a] + b_g); mem = (1 - g) * mem_prev + g * a.
     """
     if hiddens.ndim != 2 or hiddens.shape[0] == 0:
-        raise EmptyChunk("memory update needs at least one hidden state")
+        raise InvariantError("memory update needs at least one hidden state")
     return _attend(params, mem_prev, hiddens)[-1]
 
 
@@ -259,7 +258,7 @@ class ForwardTrace:
 def _check_token_ids(ids: np.ndarray, V: int) -> None:
     out_of_range = (ids < 0) | (ids >= V)
     if out_of_range.any():
-        raise DimensionMismatch(f"token id {ids[out_of_range][0]} out of range (V={V})")
+        raise InvariantError(f"token id {ids[out_of_range][0]} out of range (V={V})")
 
 
 def _run_stream(
@@ -315,12 +314,12 @@ def _run_stream(
 def _chunk_layout(context_chunks: Sequence[Chunk]) -> tuple[list[int], list[tuple[int, int]]]:
     """Flatten context chunks into (token ids, region spans)."""
     if not context_chunks:
-        raise EmptyInput("context must have at least one chunk")
+        raise InvariantError("context must have at least one chunk")
     ids: list[int] = []
     spans: list[tuple[int, int]] = []
     for c in context_chunks:
         if not c.tokens:
-            raise EmptyChunk("context chunks must be non-empty")
+            raise InvariantError("context chunks must be non-empty")
         spans.append((len(ids), len(ids) + len(c.tokens)))
         ids.extend(c.tokens)
     return ids, spans
@@ -333,7 +332,7 @@ def _teacher_forced_layout(
     the stream is context + target[:-1], and the target forms one final
     region of its own."""
     if len(target) == 0:
-        raise EmptyInput("target must be non-empty")
+        raise InvariantError("target must be non-empty")
     context, spans = _chunk_layout(context_chunks)
     stream = context + list(target[:-1])
     if len(target) > 1:
@@ -372,7 +371,7 @@ def _encode_traced(
     params: ModelParams, tokens: Sequence[int]
 ) -> tuple[ForwardTrace, np.ndarray]:
     if len(tokens) == 0:
-        raise EmptyInput("cannot encode an empty sequence")
+        raise InvariantError("cannot encode an empty sequence")
     trace = _run_stream(params, tokens, [(0, len(tokens))], False, len(tokens))
     return trace, trace.hs.mean(axis=0)
 
@@ -466,13 +465,13 @@ def _decode(
     """Decode from the context with ``pick``, which returns the next token of
     a step's logits, or None when the logits it reads are not finite."""
     if max_len < 1:
-        raise EmptyInput("max_len must be >= 1")
+        raise InvariantError("max_len must be >= 1")
     memory_on = flags is None or not flags.disable_memory
     # The generated summary forms the region after the context, so decoding
     # starts from the memory with the last context chunk folded in.
     h, mem = prefill(params, [context_chunks], flags)[0] if start is None else start
     if h.shape != (params.d,) or mem.shape != (params.d,):
-        raise DimensionMismatch(f"decoding start must be two ({params.d},) vectors")
+        raise InvariantError(f"decoding start must be two ({params.d},) vectors")
     t = params.tensors
     cell = _GatedCell(params)
     out: list[int] = []
@@ -572,12 +571,12 @@ def save_checkpoint(
     bitmask, key_k (all little-endian uint32 after the magic).  Each tensor, in
     TENSOR_NAMES order: its record head (``_record_head``: name length, name
     bytes), then its little-endian float64 values; ``tensor_shapes(d, V)``
-    fixes every shape.  Non-finite values raise ``NonFiniteCheckpoint`` before
+    fixes every shape.  Non-finite values raise ``InvariantError`` before
     anything is written, since ``load_checkpoint`` would reject the file.
     """
     for name in TENSOR_NAMES:
         if not np.all(np.isfinite(params.tensors[name])):
-            raise NonFiniteCheckpoint(
+            raise InvariantError(
                 f"checkpoint {path!r} not written: tensor '{name}' holds non-finite values"
             )
     parts = [_HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, _flag_bits(flags), key_k)]

@@ -21,24 +21,14 @@ keeps training bitwise reproducible from (seed, config, data).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .corpus import PAD, PaperSet, Vocabulary, chunk
-from .errors import (
-    EmptyCorpus,
-    EmptyInput,
-    EmptySet,
-    LengthMismatch,
-    MissingInsights,
-    NonFiniteTraining,
-    ShapeMismatch,
-    StaleTrace,
-)
+from .errors import DataError, InvariantError
 from .model import (
-    AblationFlags,
     ForwardTrace,
     ModelParams,
     _chunk_layout,
@@ -63,32 +53,26 @@ def stage_loss(l_gen: float, l_comp: float, lam: float) -> float:
     return l_gen if lam == 0.0 else l_gen + lam * l_comp
 
 
-def _ce_rows(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row cross-entropy and softmax probabilities, stably."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    denom = ex.sum(axis=1)
-    probs = ex / denom[:, None]
-    rows = np.arange(len(targets))
-    ce = np.log(denom) - shifted[rows, targets]
-    return ce, probs
-
-
 def _generation_loss_and_dlogits(
     logits: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:
     if logits.shape[0] != len(targets):
-        raise LengthMismatch(
+        raise InvariantError(
             f"{logits.shape[0]} logit rows for {len(targets)} target positions"
         )
     counted = targets != PAD
     n = int(counted.sum())
     if n == 0:
-        raise EmptySet("every target position is PAD")
-    ce, probs = _ce_rows(logits, targets)
+        raise InvariantError("every target position is PAD")
+    # Per-row cross-entropy and softmax probabilities, stably.
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    denom = ex.sum(axis=1)
+    dlogits = ex / denom[:, None]
+    rows = np.arange(len(targets))
+    ce = np.log(denom) - shifted[rows, targets]
     loss = float(ce[counted].sum() / n)
-    dlogits = probs
-    dlogits[np.arange(len(targets)), targets] -= 1.0
+    dlogits[rows, targets] -= 1.0
     dlogits[~counted] = 0.0
     dlogits /= n
     return loss, dlogits
@@ -103,7 +87,7 @@ def generation_loss(trace: ForwardTrace, targets: Sequence[int]) -> float:
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """dot(a, b) / (|a| |b| + 1e-8); 0 when either vector is all-zero."""
     if a.shape != b.shape:
-        raise ShapeMismatch(f"cosine inputs differ in shape: {a.shape} vs {b.shape}")
+        raise InvariantError(f"cosine inputs differ in shape: {a.shape} vs {b.shape}")
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-8))
 
 
@@ -122,11 +106,6 @@ def _cosine_backward(
     return da, db
 
 
-def _lse(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + float(np.log(np.exp(x - m).sum()))
-
-
 def _contrastive_parts(vecs: Sequence[np.ndarray], ref: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and its gradient w.r.t. the similarities s_i = cos(vecs[i], ref).
 
@@ -136,7 +115,9 @@ def _contrastive_parts(vecs: Sequence[np.ndarray], ref: np.ndarray) -> tuple[flo
     """
     sims = np.array([cosine_similarity(v, ref) for v in vecs])
     n = len(sims)
-    return n * _lse(sims) - float(sims.sum()), n * softmax(sims) - 1.0
+    m = float(np.max(sims))
+    lse = m + float(np.log(np.exp(sims - m).sum()))
+    return n * lse - float(sims.sum()), n * softmax(sims) - 1.0
 
 
 def comparative_loss(insight_vecs: Sequence[np.ndarray], ref_vec: np.ndarray) -> float:
@@ -148,7 +129,7 @@ def comparative_loss(insight_vecs: Sequence[np.ndarray], ref_vec: np.ndarray) ->
     minimum n*ln(n) is attained iff all similarities are equal.
     """
     if len(insight_vecs) == 0:
-        raise EmptySet("contrastive loss needs at least one insight vector")
+        raise InvariantError("contrastive loss needs at least one insight vector")
     return _contrastive_parts(insight_vecs, ref_vec)[0]
 
 
@@ -173,7 +154,7 @@ class LossSpec:
 
 def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
     if trace.hs.shape[1] != params.d or trace.logits.shape[1] != params.V:
-        raise StaleTrace(
+        raise InvariantError(
             f"trace built for d={trace.hs.shape[1]}, V={trace.logits.shape[1]}; "
             f"params have d={params.d}, V={params.V}"
         )
@@ -313,9 +294,9 @@ def _loss_terms(
         seeds.append((trace, dlogits, None))
     if spec.lam != 0.0 and spec.insights is not None:
         if spec.ref_tokens is None:
-            raise EmptyInput("contrastive term needs reference tokens")
+            raise InvariantError("contrastive term needs reference tokens")
         if not spec.insights:
-            raise EmptySet("contrastive loss needs at least one insight sequence")
+            raise InvariantError("contrastive loss needs at least one insight sequence")
         ins = [_encode_traced(params, seq) for seq in spec.insights]
         ref_trace, e_ref = _encode_traced(params, spec.ref_tokens)
         l_comp, dsims = _contrastive_parts([e for _, e in ins], e_ref)
@@ -483,7 +464,7 @@ def optimizer_step(
     for name, tensor in params.tensors.items():
         if name not in grads or grads[name].shape != tensor.shape:
             got = grads[name].shape if name in grads else None
-            raise ShapeMismatch(f"gradient for '{name}' has shape {got}, want {tensor.shape}")
+            raise InvariantError(f"gradient for '{name}' has shape {got}, want {tensor.shape}")
     opt_state.step += 1
     t = opt_state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -515,7 +496,7 @@ class TrainConfig:
     d: int = 32
     seed: int = 0
     key_k: int = 2
-    flags: AblationFlags = field(default_factory=AblationFlags)
+    disable_memory: bool = False
     clip_norm: ClassVar[float] = 5.0  # a constant, not a config key
 
 
@@ -556,7 +537,7 @@ def _train(
     here and differ only in their examples' loss specs."""
     state = init_adam_state(params)
     rng = np.random.default_rng(config.seed)
-    memory_on = not config.flags.disable_memory
+    memory_on = not config.disable_memory
     step = 0
     for epoch in range(1, config.epochs + 1):
         for idx in rng.permutation(len(examples)):
@@ -567,7 +548,7 @@ def _train(
             step += 1
             norm = clip_gradients(grads, config.clip_norm)
             if not (math.isfinite(l_stage) and math.isfinite(norm)):
-                raise NonFiniteTraining(
+                raise InvariantError(
                     f"{stage} step {step}: loss {l_stage}, gradient norm {norm} (not finite)"
                 )
             optimizer_step(params, grads, state, config)
@@ -588,7 +569,7 @@ def train_pretrain(
     epochs=0 returns the (seeded or given) initialization unchanged.
     """
     if len(corpus) == 0:
-        raise EmptyCorpus("pretraining corpus is empty")
+        raise DataError("pretraining corpus is empty")
     params = init.copy() if init is not None else init_params(config.d, len(vocab), config.seed)
     examples = []
     for ps in corpus:
@@ -607,17 +588,17 @@ def train_comparative(
 ) -> ModelParams:
     """Stage two: teacher-forced summary cross-entropy plus the contrastive
     term at weight ``config.lam``; a weight of zero makes the run exactly MLE
-    fine-tuning.  Raises MissingInsights for an example with no non-empty
+    fine-tuning.  Raises DataError for an example with no non-empty
     insight while the weight is positive.
     """
     if len(dataset) == 0:
-        raise EmptyCorpus("fine-tuning dataset is empty")
+        raise DataError("fine-tuning dataset is empty")
     examples = []
     for ps in dataset:
         context = chunk(model_context(ps, vocab, config.key_k), config.l_chunk)
         insights = [doc.insight for doc in ps.docs if doc.insight]
         if config.lam != 0.0 and not insights:
-            raise MissingInsights(f"example {ps.id!r} has no non-empty insight but lambda > 0")
+            raise DataError(f"example {ps.id!r} has no non-empty insight but lambda > 0")
         spec = LossSpec(ps.ref_summary, config.lam, insights, ps.ref_summary)
         examples.append((*_teacher_forced_layout(context, ps.ref_summary), spec))
     return _train(init.copy(), examples, config, "comparative", log_fn)

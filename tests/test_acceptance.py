@@ -93,10 +93,9 @@ def _recall_accuracy(workdir, seed, disable_memory):
     # before the recurrent memory path starts feeding back into the inputs.
     warm = TrainConfig(
         learning_rate=0.005, epochs=1, l_chunk=16,
-        d=32, seed=seed, key_k=0,
-        flags=AblationFlags(disable_memory=True),
+        d=32, seed=seed, key_k=0, disable_memory=True,
     )
-    main = replace(warm, epochs=9, flags=AblationFlags(disable_memory=disable_memory))
+    main = replace(warm, epochs=9, disable_memory=disable_memory)
     t0 = time.perf_counter()
     params = train_pretrain(train, warm, vocab)
     params = train_pretrain(train, main, vocab, init=params)

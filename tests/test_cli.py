@@ -9,7 +9,6 @@ import stat
 import struct
 import warnings
 from dataclasses import fields
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +64,7 @@ class TestLoadConfig:
         assert cfg.stage == "comparative"
         assert cfg.learning_rate == 0.01
         assert cfg.epochs == 7
-        assert cfg.flags.disable_memory is True
+        assert cfg.disable_memory is True
         assert cfg.key_k == 0
 
     def test_whitespace_around_separator(self, tmp_path):
@@ -661,18 +660,14 @@ class TestExports:
         assert [name for name in compsum.__all__ if not hasattr(compsum, name)] == []
 
     def test_one_config_key_per_run_config_field(self):
-        paths = [path for path, _ in _CONFIG_KEYS.values()]
-        flags = [("flags", f.name) for f in fields(AblationFlags)]
-        own = [(f.name,) for f in fields(RunConfig) if f.name != "flags"]
-        assert sorted(paths) == sorted(own + flags)
+        names = [name for name, _ in _CONFIG_KEYS.values()]
+        assert sorted(names) == sorted(f.name for f in fields(RunConfig))
         assert len(_CONFIG_KEYS) == 20
-        assert _CONFIG_KEYS["lambda"][0] == ("lam",)
-        assert _CONFIG_KEYS["lr"][0] == ("learning_rate",)
-        assert _CONFIG_KEYS["disable_memory"][0] == ("flags", "disable_memory")
+        assert _CONFIG_KEYS["lambda"][0] == "lam"
+        assert _CONFIG_KEYS["lr"][0] == "learning_rate"
+        assert _CONFIG_KEYS["disable_memory"][0] == "disable_memory"
         assert "clip_norm" not in _CONFIG_KEYS
-        assert {key for key, (path, _) in _CONFIG_KEYS.items() if key != path[-1]} == {
-            "lr", "lambda"
-        }
+        assert {key for key, (name, _) in _CONFIG_KEYS.items() if key != name} == {"lr", "lambda"}
 
     def test_readme_config_table_matches_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -684,7 +679,7 @@ class TestExports:
                 rows[key.strip("`")] = default_cell.strip("`")
         defaults = RunConfig()
         want = {}
-        for key, (path, _) in _CONFIG_KEYS.items():
-            value = reduce(getattr, path, defaults)
+        for key, (name, _) in _CONFIG_KEYS.items():
+            value = getattr(defaults, name)
             want[key] = str(value).lower() if isinstance(value, bool) else str(value)
         assert rows == want

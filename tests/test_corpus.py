@@ -35,7 +35,7 @@ from compsum.corpus import (
     tokenize,
     write_dataset,
 )
-from compsum.errors import EmptyInput, SchemaError
+from compsum.errors import InvariantError, SchemaError
 
 
 def tokenize_oracle(text: str) -> list[str]:
@@ -214,7 +214,7 @@ class TestChunk:
     def test_validation(self):
         with pytest.raises(ValueError):
             chunk([1, 2], 0)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantError, match="cannot chunk an empty token sequence"):
             chunk([], 4)
 
 
@@ -239,6 +239,16 @@ class TestKeyElements:
         doc, period = self._doc()
         assert extract_key_elements(doc, 2, period) == [(0, 4), (8, 12)]
 
+    def test_tie_does_not_depend_on_token_order(self):
+        # The last two sentences hold the same tokens in another order, so
+        # they tie.  Added left to right, their idf sums differ in the last
+        # bit (5.410225151981751 and 5.410225151981752).
+        period = 9
+        sentences = [[10, 20], [11, 21], [11, 22], [12, 23], [12, 24], [12, 25], [13, 26],
+                     [14, 27], [14, 28], [10, 11, 12, 13, 14], [10, 12, 11, 13, 14]]
+        body = [tok for sentence in sentences for tok in sentence + [period]]
+        assert extract_key_elements(PaperDocument(body, []), 1, period) == [(27, 33)]
+
     def test_k_at_least_sentence_count_returns_all(self):
         doc, period = self._doc()
         for k in (3, 10):
@@ -260,7 +270,7 @@ class TestKeyElements:
         assert extract_key_elements(doc, 1, None) == [(0, 2)]
 
     def test_empty_body(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantError, match="cannot extract key elements from an empty body"):
             extract_key_elements(PaperDocument([], []), 1, None)
 
 

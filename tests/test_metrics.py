@@ -17,7 +17,7 @@ from compsum.corpus import (
     load_dataset,
     write_dataset,
 )
-from compsum.errors import EmptyDataset
+from compsum.errors import DataError
 from compsum.metrics import (
     CONNECTIVES,
     EvalReport,
@@ -305,5 +305,5 @@ class TestEvaluateDataset:
 
     def test_empty_dataset_rejected(self, setup):
         params, _, vocab = setup
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(DataError, match="cannot evaluate an empty dataset"):
             evaluate_dataset(params, [], vocab, **EVAL_ARGS, flags=AblationFlags())

@@ -2,6 +2,7 @@
 passes, decoding, and checkpoint serialization."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -9,15 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from compsum.corpus import BOS, EOS, PAD, Chunk, chunk
-from compsum.errors import (
-    CheckpointError,
-    DimensionMismatch,
-    EmptyChunk,
-    EmptyInput,
-    NonFiniteCheckpoint,
-    NonFiniteLogits,
-    SchemaError,
-)
+from compsum.errors import CheckpointError, InvariantError, NonFiniteLogits, SchemaError
 from compsum.model import (
     AblationFlags,
     ModelParams,
@@ -152,9 +145,9 @@ class TestMemoryUpdate:
 
     def test_empty_hiddens_rejected(self):
         p = self._params()
-        with pytest.raises(EmptyChunk):
+        with pytest.raises(InvariantError, match="memory update needs at least one hidden state"):
             memory_update(p, np.zeros(2), np.zeros((0, 2)))
-        with pytest.raises(EmptyChunk):
+        with pytest.raises(InvariantError, match="memory update needs at least one hidden state"):
             memory_update(p, np.zeros(2), np.zeros(2))
 
 
@@ -181,10 +174,10 @@ class TestInitParams:
         assert a["E"][0, 0] != b["E"][0, 0]
 
     def test_bad_sizes(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvariantError, match="bad model size d=0, V=10"):
             init_params(0, 10, 0)
         for V in (2, 6):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(InvariantError, match=f"bad model size d=4, V={V}"):
                 init_params(4, V, 0)
 
     def test_without_sysconf_the_size_check_is_skipped(self, monkeypatch):
@@ -257,13 +250,15 @@ class TestForward:
 
     def test_validation(self):
         params, context, target = self._setup(6)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantError, match="context must have at least one chunk"):
             forward(params, [], target)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantError, match="target must be non-empty"):
             forward(params, chunk(context, 4), [])
-        with pytest.raises(EmptyChunk):
+        with pytest.raises(InvariantError, match="context chunks must be non-empty"):
             forward(params, [Chunk([])], target)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(
+            InvariantError, match=re.escape(f"token id {params.V} out of range (V={params.V})")
+        ):
             forward(params, chunk([1, params.V], 4), target)
 
 
@@ -282,7 +277,7 @@ class TestEncodeSequence:
         )
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantError, match="cannot encode an empty sequence"):
             encode_sequence(init_params(4, 9, 0), [])
 
 
@@ -344,7 +339,7 @@ class TestDecode:
 
     def test_max_len_validation(self):
         p = self._rigged([EOS])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantError, match="max_len must be >= 1"):
             greedy_decode(p, chunk([BOS], 1), 0)
 
     @pytest.mark.parametrize("temperature", [0.0, 0.7])
@@ -468,10 +463,10 @@ class TestCheckpoint:
         path, params = self._save(tmp_path)
         before = open(path, "rb").read()
         params.tensors["W_o"][0, 0] = value
-        with pytest.raises(NonFiniteCheckpoint, match="tensor 'W_o'"):
+        with pytest.raises(InvariantError, match="tensor 'W_o' holds non-finite values"):
             save_checkpoint(path, params, 5, AblationFlags())
         assert open(path, "rb").read() == before
         fresh = tmp_path / "fresh.ckpt"
-        with pytest.raises(NonFiniteCheckpoint):
+        with pytest.raises(InvariantError, match="tensor 'W_o' holds non-finite values"):
             save_checkpoint(str(fresh), params, 5, AblationFlags())
         assert not fresh.exists()

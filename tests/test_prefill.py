@@ -3,6 +3,8 @@
 decoded token and every evaluation report must be bitwise equal to running
 the contexts one at a time."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from compsum.corpus import (
     load_dataset,
     write_dataset,
 )
-from compsum.errors import DimensionMismatch, EmptyChunk, EmptyInput
+from compsum.errors import InvariantError
 from compsum.model import AblationFlags, greedy_decode, init_params, prefill, sample_decode
 
 DIMS = (1, 6, 10, 32)
@@ -112,11 +114,11 @@ def test_prefill_edge_cases():
     params = _params(4)
     assert prefill(params, []) == []
     assert list(model.prefilled(params, [])) == []
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InvariantError, match="context must have at least one chunk"):
         prefill(params, [chunk([BOS, 7], 2), []])
-    with pytest.raises(EmptyChunk):
+    with pytest.raises(InvariantError, match="context chunks must be non-empty"):
         prefill(params, [[Chunk([7]), Chunk([])]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvariantError, match=re.escape(f"token id {V} out of range (V={V})")):
         prefill(params, [chunk([BOS, 7], 2), chunk([BOS, V], 2)])
 
 
@@ -154,7 +156,7 @@ def test_decoding_with_and_without_start(d, memory_on):
 
 def test_decoding_start_shape_checked():
     params = _params(4)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvariantError, match=re.escape("decoding start must be two (4,) vectors")):
         greedy_decode(params, chunk([BOS, 7], 2), 3, start=(np.zeros(4), np.zeros(5)))
 
 

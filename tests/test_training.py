@@ -2,6 +2,7 @@
 finite-difference harness, the optimizer, and both training loops."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,16 +19,7 @@ from compsum.corpus import (
     load_dataset,
     write_dataset,
 )
-from compsum.errors import (
-    EmptyCorpus,
-    EmptyInput,
-    EmptySet,
-    LengthMismatch,
-    MissingInsights,
-    NonFiniteTraining,
-    ShapeMismatch,
-    StaleTrace,
-)
+from compsum.errors import DataError, InvariantError
 from compsum import model, training
 from compsum.model import ForwardTrace, forward, init_params
 from compsum.training import (
@@ -87,12 +79,12 @@ class TestGenerationLoss:
 
     def test_all_pad_rejected(self):
         trace = logits_trace(np.zeros((2, 5)))
-        with pytest.raises(EmptySet):
+        with pytest.raises(InvariantError, match="every target position is PAD"):
             generation_loss(trace, [PAD, PAD])
 
     def test_row_count_mismatch(self):
         trace = logits_trace(np.zeros((2, 5)))
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvariantError, match="2 logit rows for 3 target positions"):
             generation_loss(trace, [1, 2, 3])
 
     def test_extreme_logits_stay_finite(self):
@@ -116,7 +108,8 @@ class TestCosineSimilarity:
         assert_allclose(cosine_similarity(3.0 * a, b), cosine_similarity(a, b), rtol=1e-7)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        want = "cosine inputs differ in shape: (3,) vs (4,)"
+        with pytest.raises(InvariantError, match=re.escape(want)):
             cosine_similarity(np.zeros(3), np.zeros(4))
 
 
@@ -148,7 +141,8 @@ class TestComparativeLoss:
             assert comparative_loss(vecs, rng.normal(size=4)) >= bound - 1e-9
 
     def test_empty_insights_rejected(self):
-        with pytest.raises(EmptySet):
+        want = "contrastive loss needs at least one insight vector"
+        with pytest.raises(InvariantError, match=want):
             comparative_loss([], np.zeros(3))
 
 
@@ -179,20 +173,22 @@ class TestBackward:
         probe = gradcheck_probe(2)
         trace = forward(probe.params, probe.context_chunks, probe.spec.targets)
         other = init_params(4, 20, 0)
-        with pytest.raises(StaleTrace):
+        want = "trace built for d=8, V=20; params have d=4, V=20"
+        with pytest.raises(InvariantError, match=want):
             backward(trace, other, LossSpec(targets=probe.spec.targets))
 
     def test_contrastive_requires_reference(self):
         probe = gradcheck_probe(3)
         trace = forward(probe.params, probe.context_chunks, probe.spec.targets)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantError, match="contrastive term needs reference tokens"):
             backward(trace, probe.params, LossSpec(lam=0.5, insights=probe.spec.insights))
 
     def test_contrastive_requires_an_insight(self):
         probe = gradcheck_probe(3)
         trace = forward(probe.params, probe.context_chunks, probe.spec.targets)
         spec = LossSpec(lam=0.5, insights=[], ref_tokens=probe.spec.targets)
-        with pytest.raises(EmptySet):
+        want = "contrastive loss needs at least one insight sequence"
+        with pytest.raises(InvariantError, match=want):
             backward(trace, probe.params, spec)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -315,11 +311,13 @@ class TestAdam:
         state = init_adam_state(params)
         grads = params.zeros_like()
         grads["E"] = np.zeros((1, 1))
-        with pytest.raises(ShapeMismatch):
+        want = f"gradient for 'E' has shape (1, 1), want {params.tensors['E'].shape}"
+        with pytest.raises(InvariantError, match=re.escape(want)):
             optimizer_step(params, grads, state, TrainConfig())
         incomplete = params.zeros_like()
         del incomplete["W_o"]
-        with pytest.raises(ShapeMismatch):
+        want = f"gradient for 'W_o' has shape None, want {params.tensors['W_o'].shape}"
+        with pytest.raises(InvariantError, match=re.escape(want)):
             optimizer_step(params, incomplete, state, TrainConfig())
 
 
@@ -407,9 +405,9 @@ class TestTrainingLoops:
 
     def test_empty_corpus_rejected(self, tiny_data):
         _, vocab = tiny_data
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(DataError, match="pretraining corpus is empty"):
             train_pretrain([], self._config(), vocab)
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(DataError, match="fine-tuning dataset is empty"):
             train_comparative([], init_params(8, len(vocab), 0),
                               self._config(), vocab)
 
@@ -427,9 +425,9 @@ class TestTrainingLoops:
         corpus, vocab = tiny_data
         init = init_params(8, len(vocab), 0)
         init.tensors["W_o"][3, 2] = np.nan
-        with pytest.raises(NonFiniteTraining, match="pretrain step 1: loss nan"):
+        with pytest.raises(InvariantError, match="pretrain step 1: loss nan"):
             train_pretrain(corpus, self._config(), vocab, init=init)
-        with pytest.raises(NonFiniteTraining, match="comparative step 1: loss nan"):
+        with pytest.raises(InvariantError, match="comparative step 1: loss nan"):
             train_comparative(corpus, init, self._config(), vocab)
 
     def test_contexts_assembled_once_per_stage(self, tiny_data, monkeypatch):
@@ -458,6 +456,6 @@ class TestTrainingLoops:
     def test_missing_insights_rejected_when_weighted(self, tmp_path):
         corpus, vocab = self._insightless(tmp_path)
         init = init_params(8, len(vocab), 0)
-        with pytest.raises(MissingInsights):
+        with pytest.raises(DataError, match="example 'e0' has no non-empty insight but lambda > 0"):
             train_comparative(corpus, init, self._config(lam=0.5), vocab)
 
