@@ -27,18 +27,10 @@ from .corpus import (
     load_dataset,
     write_dataset,
 )
-from .errors import ConfigError, Error, InvariantError, NonFiniteLogits
+from .errors import ConfigError, Error, InvariantError
 from .ioutil import utf8_lines, write_lines
-from .metrics import DEFAULT_TAU, evaluate_dataset, write_report
-from .model import (
-    AblationFlags,
-    greedy_decode,
-    load_checkpoint,
-    model_context,
-    prefilled,
-    sample_decode,
-    save_checkpoint,
-)
+from .metrics import DEFAULT_TAU, evaluate_dataset, mean_in_order, write_report
+from .model import AblationFlags, decode_each, load_checkpoint, model_context, save_checkpoint
 from .training import (
     StepRecord,
     TrainConfig,
@@ -121,6 +113,7 @@ def _validate(config: RunConfig) -> RunConfig:
         ("tau", 0 < config.tau <= 1, "must be in (0, 1]"),
         ("min_freq", config.min_freq >= 1, "must be >= 1"),
         ("synth_count", config.synth_count >= 0, "must be >= 0"),
+        ("synth_seed", config.synth_seed >= 0, "must be >= 0"),
     ]
     for key, ok, reason in checks:
         if not ok:
@@ -171,14 +164,7 @@ def _load_matching_checkpoint(config: RunConfig, vocab: Vocabulary):
 
 
 def _final_epoch_mean(records: list[StepRecord], epochs: int, attr: str) -> float:
-    # Summed left to right: built-in sum() is compensated from Python 3.12,
-    # so it would print other digits for the same run.
-    total, n = 0.0, 0
-    for r in records:
-        if r.epoch == epochs:
-            total += getattr(r, attr)
-            n += 1
-    return total / n if n else 0.0
+    return mean_in_order(getattr(r, attr) for r in records if r.epoch == epochs)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -241,20 +227,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     vocab, dataset = _load_vocab_and_data(config)
     params, l_chunk, flags, key_k = _load_matching_checkpoint(config, vocab)
     out = _require_path(config, "report")
-    lines = []
-    contexts = (chunk(model_context(ps, vocab, key_k), l_chunk) for ps in dataset)
-    for ps, (chunks, start) in zip(dataset, prefilled(params, contexts, flags)):
-        try:
-            if config.temperature == 0.0:
-                ids = greedy_decode(params, chunks, config.max_len, flags, start=start)
-            else:
-                ids = sample_decode(
-                    params, chunks, config.max_len, config.temperature, config.seed, flags,
-                    start=start,
-                )
-        except NonFiniteLogits as exc:
-            raise NonFiniteLogits(f"example {ps.id!r}: {exc}") from None
-        lines.append(json.dumps({"id": ps.id, "summary": " ".join(vocab.decode(ids))}))
+    contexts = ((ps.id, chunk(model_context(ps, vocab, key_k), l_chunk)) for ps in dataset)
+    decodes = decode_each(params, contexts, config.max_len, flags, config.temperature, config.seed)
+    lines = [
+        json.dumps({"id": ps.id, "summary": " ".join(vocab.decode(ids))})
+        for ps, ids in zip(dataset, decodes)
+    ]
     write_lines(out, lines)
     print(f"wrote {len(lines)} summaries to {out}")
     return 0

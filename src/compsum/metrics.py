@@ -11,12 +11,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import EOS, SENTENCE_DELIMITER, Vocabulary, chunk
-from .errors import DataError, NonFiniteLogits
+from .errors import DataError
 from .ioutil import write_lines
-from .model import AblationFlags, ModelParams, greedy_decode, model_context, prefilled
+from .model import AblationFlags, ModelParams, decode_each, model_context
 from .training import TrainConfig
 
 # Fixed lexicon of comparative connectives used by the G-Score density term.
@@ -156,6 +156,17 @@ def g_score(
 # --- dataset-level evaluation ----------------------------------------------
 
 
+def mean_in_order(values: Iterable[float]) -> float:
+    """The arithmetic mean, summed left to right; 0.0 for no values.  The
+    built-in sum() is compensated from Python 3.12, so it would print other
+    digits for the same run."""
+    total, n = 0.0, 0
+    for value in values:
+        total += value
+        n += 1
+    return total / n if n else 0.0
+
+
 @dataclass
 class ExampleScores:
     """One per-example report row; every field but ``id`` is a score."""
@@ -174,16 +185,13 @@ class EvalReport:
     rows: list[ExampleScores]
 
     def aggregate_record(self) -> dict:
-        """The arithmetic mean of each score, summed left to right in row
-        order, then ``example_count``."""
-        n = len(self.rows)
-        record: dict = {}
-        for name in (f.name for f in fields(ExampleScores) if f.name != "id"):
-            total = 0.0
-            for row in self.rows:
-                total += getattr(row, name)
-            record[name] = total / n
-        record["example_count"] = n
+        """The mean of each score in row order (``mean_in_order``), then
+        ``example_count``."""
+        record = {
+            f.name: mean_in_order(getattr(row, f.name) for row in self.rows)
+            for f in fields(ExampleScores) if f.name != "id"
+        }
+        record["example_count"] = len(self.rows)
         return record
 
     def to_lines(self) -> list[str]:
@@ -204,26 +212,20 @@ def evaluate_dataset(
     max_len: int,
     tau: float = DEFAULT_TAU,
     key_k: int = TrainConfig.key_k,
-    flags: AblationFlags | None = None,
+    flags: AblationFlags = AblationFlags(),
 ) -> EvalReport:
     """Greedy-decode a summary for every example and score it against the
     reference summary (ROUGE) and the insight units (G-Score).
 
-    The contexts are prefilled in blocks (``model.prefilled``), each block's
-    examples decoded before the next block runs.  Aggregates are arithmetic
-    means in dataset order, so reports are deterministic for a fixed
-    checkpoint and dataset.
+    The examples are decoded by ``model.decode_each``.  Aggregates are
+    arithmetic means in dataset order, so reports are deterministic for a
+    fixed checkpoint and dataset.
     """
     if len(dataset) == 0:
         raise DataError("cannot evaluate an empty dataset")
-    flags = flags or AblationFlags()
     rows = []
-    contexts = (chunk(model_context(ps, vocab, key_k), l_chunk) for ps in dataset)
-    for ps, (chunks, start) in zip(dataset, prefilled(params, contexts, flags)):
-        try:
-            decoded = greedy_decode(params, chunks, max_len, flags, start=start)
-        except NonFiniteLogits as exc:
-            raise NonFiniteLogits(f"example {ps.id!r}: {exc}") from None
+    contexts = ((ps.id, chunk(model_context(ps, vocab, key_k), l_chunk)) for ps in dataset)
+    for ps, decoded in zip(dataset, decode_each(params, contexts, max_len, flags)):
         candidate = vocab.decode(decoded)
         ref_ids = ps.ref_summary[:-1] if ps.ref_summary[-1] == EOS else ps.ref_summary
         reference = vocab.decode(ref_ids)

@@ -18,7 +18,7 @@ import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .corpus import Vocabulary, assemble_context
 from .errors import CheckpointError, InvariantError, NonFiniteLogits
 from .ioutil import atomic_write_bytes
 
-@dataclass
+@dataclass(frozen=True)
 class AblationFlags:
     """Switches that remove one mechanism at a time."""
 
@@ -344,7 +344,7 @@ def forward(
     params: ModelParams,
     context_chunks: Sequence[Chunk],
     target: Sequence[int],
-    flags: AblationFlags | None = None,
+    flags: AblationFlags = AblationFlags(),
 ) -> ForwardTrace:
     """Teacher-forced pass: consume the context chunks, then score each
     target token.
@@ -355,7 +355,7 @@ def forward(
     fixed while the target is processed.
     """
     stream, spans, logits_start = _teacher_forced_layout(context_chunks, target)
-    memory_on = flags is None or not flags.disable_memory
+    memory_on = not flags.disable_memory
     return _run_stream(params, stream, spans, memory_on, logits_start)
 
 
@@ -391,7 +391,7 @@ PREFILL_BLOCK = 32
 def prefill(
     params: ModelParams,
     contexts: Sequence[Sequence[Chunk]],
-    flags: AblationFlags | None = None,
+    flags: AblationFlags = AblationFlags(),
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Run each context's chunks and fold its last chunk into the memory:
     the (h, mem) that decoding starts from, one pair per context, in order.
@@ -402,7 +402,7 @@ def prefill(
     batched by region length.  Every product is taken row by row, so each
     context gets bit for bit the state of a pass over it alone.
     """
-    memory_on = flags is None or not flags.disable_memory
+    memory_on = not flags.disable_memory
     layouts = [_chunk_layout(c) for c in contexts]
     B, d = len(layouts), params.d
     order = sorted(range(B), key=lambda i: -len(layouts[i][0]))
@@ -442,23 +442,11 @@ def prefill(
     return [(h[row], mem[row]) for row in row_of]
 
 
-def prefilled(
-    params: ModelParams,
-    contexts: Iterable[Sequence[Chunk]],
-    flags: AblationFlags | None = None,
-) -> Iterator[tuple[Sequence[Chunk], tuple[np.ndarray, np.ndarray]]]:
-    """Each context with its decoding start, ``prefill``-ed PREFILL_BLOCK
-    contexts at a time as the caller asks for them."""
-    it = iter(contexts)
-    while block := list(itertools.islice(it, PREFILL_BLOCK)):
-        yield from zip(block, prefill(params, block, flags))
-
-
 def _decode(
     params: ModelParams,
     context_chunks: Sequence[Chunk],
     max_len: int,
-    flags: AblationFlags | None,
+    flags: AblationFlags,
     pick: Callable[[np.ndarray], int | None],
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[int]:
@@ -466,7 +454,7 @@ def _decode(
     a step's logits, or None when the logits it reads are not finite."""
     if max_len < 1:
         raise InvariantError("max_len must be >= 1")
-    memory_on = flags is None or not flags.disable_memory
+    memory_on = not flags.disable_memory
     # The generated summary forms the region after the context, so decoding
     # starts from the memory with the last context chunk folded in.
     h, mem = prefill(params, [context_chunks], flags)[0] if start is None else start
@@ -501,7 +489,7 @@ def greedy_decode(
     params: ModelParams,
     context_chunks: Sequence[Chunk],
     max_len: int,
-    flags: AblationFlags | None = None,
+    flags: AblationFlags = AblationFlags(),
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[int]:
     """Argmax decoding; ties resolve to the lowest token id.  Stops at EOS
@@ -517,7 +505,7 @@ def sample_decode(
     max_len: int,
     temperature: float,
     seed: int,
-    flags: AblationFlags | None = None,
+    flags: AblationFlags = AblationFlags(),
     start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[int]:
     """Temperature sampling from softmax(logits / temperature), seeded;
@@ -542,6 +530,33 @@ def sample_decode(
     return _decode(params, context_chunks, max_len, flags, pick, start)
 
 
+def decode_each(
+    params: ModelParams,
+    contexts: Iterable[tuple[str, Sequence[Chunk]]],
+    max_len: int,
+    flags: AblationFlags = AblationFlags(),
+    temperature: float = 0.0,
+    seed: int = 0,
+) -> Iterator[list[int]]:
+    """Yield the tokens of each (example id, context chunks) pair in order:
+    ``greedy_decode`` at temperature 0, else ``sample_decode`` from a fresh
+    generator seeded with ``seed`` for every example.  Contexts are
+    ``prefill``-ed PREFILL_BLOCK at a time as decodes are asked for, and
+    ``NonFiniteLogits`` is raised again naming the example."""
+    it = iter(contexts)
+    while block := list(itertools.islice(it, PREFILL_BLOCK)):
+        starts = prefill(params, [chunks for _, chunks in block], flags)
+        for (example_id, chunks), start in zip(block, starts):
+            try:
+                if temperature == 0.0:
+                    ids = greedy_decode(params, chunks, max_len, flags, start=start)
+                else:
+                    ids = sample_decode(params, chunks, max_len, temperature, seed, flags, start)
+            except NonFiniteLogits as exc:
+                raise NonFiniteLogits(f"example {example_id!r}: {exc}") from None
+            yield ids
+
+
 # --- checkpoints -----------------------------------------------------------
 
 _MAGIC = b"CFG1"
@@ -557,21 +572,16 @@ def _record_head(name: str) -> bytes:
     return _NAME_LEN.pack(len(raw)) + raw
 
 
-def _flag_bits(flags: AblationFlags) -> int:
-    """Bit i of the header's bitmask is the i-th field of ``AblationFlags``."""
-    return sum(1 << i for i, f in enumerate(fields(AblationFlags)) if getattr(flags, f.name))
-
-
 def save_checkpoint(
     path: str, params: ModelParams, l_chunk: int, flags: AblationFlags, key_k: int = 2
 ) -> None:
     """Binary checkpoint: fixed header, then named float64 row-major tensors.
 
     Header (``_HEADER``): magic 'CFG1', version, d, V, l_chunk, ablation
-    bitmask, key_k (all little-endian uint32 after the magic).  Each tensor, in
-    TENSOR_NAMES order: its record head (``_record_head``: name length, name
-    bytes), then its little-endian float64 values; ``tensor_shapes(d, V)``
-    fixes every shape.  Non-finite values raise ``InvariantError`` before
+    bitmask (1 when ``disable_memory``, else 0), key_k (all little-endian
+    uint32 after the magic).  Each tensor, in TENSOR_NAMES order: its record
+    head (``_record_head``: name length, name bytes), then its little-endian
+    float64 values; ``tensor_shapes(d, V)`` fixes every shape.  Non-finite values raise ``InvariantError`` before
     anything is written, since ``load_checkpoint`` would reject the file.
     """
     for name in TENSOR_NAMES:
@@ -579,7 +589,8 @@ def save_checkpoint(
             raise InvariantError(
                 f"checkpoint {path!r} not written: tensor '{name}' holds non-finite values"
             )
-    parts = [_HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, _flag_bits(flags), key_k)]
+    bits = int(flags.disable_memory)
+    parts = [_HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, bits, key_k)]
     for name in TENSOR_NAMES:
         parts += (_record_head(name), params.tensors[name].astype("<f8").tobytes())
     atomic_write_bytes(path, b"".join(parts))
@@ -598,8 +609,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags, int]:
         raise CheckpointError(path, "bad magic number")
     if version != _VERSION:
         raise CheckpointError(path, f"unsupported checkpoint version {version}")
-    names = [f.name for f in fields(AblationFlags)]
-    if bits >> len(names):
+    if bits > 1:
         raise CheckpointError(path, f"unknown ablation bits in bitmask {bits}")
     if d < 1 or V < len(RESERVED_TOKENS) or l_chunk < 1:
         raise CheckpointError(path, f"bad header d={d} V={V} l_chunk={l_chunk}")
@@ -625,5 +635,4 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags, int]:
         tensors[name] = tensor.reshape(shapes[name])
     if off != len(data):
         raise CheckpointError(path, "trailing bytes")
-    flags = AblationFlags(**{name: bool(bits >> i & 1) for i, name in enumerate(names)})
-    return ModelParams(d, V, tensors), l_chunk, flags, key_k
+    return ModelParams(d, V, tensors), l_chunk, AblationFlags(bool(bits)), key_k

@@ -124,6 +124,7 @@ class TestLoadConfig:
             ("tau=1.5", "tau"),
             ("min_freq=0", "min_freq"),
             ("synth_count=-1", "synth_count"),
+            ("synth_seed=-1", "synth_seed"),
         ):
             self._expect_config_error(tmp_path, line + "\n", key)
 

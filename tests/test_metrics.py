@@ -274,7 +274,7 @@ class TestEvaluateDataset:
         config = RunConfig()
         assert params["tau"].default == config.tau
         assert params["key_k"].default == config.key_k
-        assert params["flags"].default is None
+        assert params["flags"].default == AblationFlags()
 
     def test_deterministic(self, setup):
         params, dataset, vocab = setup

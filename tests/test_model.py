@@ -412,11 +412,11 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("bits", [2, 3, 8, 9, 2**32 - 1])
     def test_unknown_flag_bits_rejected(self, tmp_path, bits):
-        # bit 1 and above name no field of AblationFlags
+        # bit 0, disable_memory, is the only ablation bit
         def mutate(d):
             d[20:24] = struct.pack("<I", bits)
             return d
-        self._corrupt(tmp_path, mutate)
+        self._corrupt(tmp_path, mutate, f"unknown ablation bits in bitmask {bits}$")
 
     def test_bad_header_sizes(self, tmp_path):
         def mutate(d):

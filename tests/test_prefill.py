@@ -97,23 +97,30 @@ def test_prefill_unaligned_layouts(d, memory_on):
 
 
 @pytest.mark.parametrize("memory_on", [True, False])
-def test_prefilled_spans_several_blocks(memory_on, monkeypatch):
+def test_decode_each_spans_several_blocks(memory_on, monkeypatch):
     params = _params(6, 5)
+    params.tensors["b_o"][EOS] = -3.0  # decode for a while before EOS
+    flags = _flags(memory_on)
     contexts = _contexts(4, seed=6) + _uneven_contexts(7) + _contexts(None, seed=8)
+    greedy = [greedy_decode(params, chunks, 12, flags) for chunks in contexts]
+    sampled = [sample_decode(params, chunks, 12, 0.7, 5, flags) for chunks in contexts]
+    pairs = [(f"ex{i}", chunks) for i, chunks in enumerate(contexts)]
     monkeypatch.setattr(model, "PREFILL_BLOCK", 5)
     blocks = []
     real = model.prefill
     monkeypatch.setattr(model, "prefill", lambda p, c, f: blocks.append(len(c)) or real(p, c, f))
-    pairs = list(model.prefilled(params, iter(contexts), _flags(memory_on)))
+    decodes = model.decode_each(params, iter(pairs), 12, flags)
+    assert next(decodes) == greedy[0]
+    assert blocks == [5]  # a block is prefilled only when its decodes are asked for
+    assert [greedy[0], *decodes] == greedy
     assert blocks == [5] * (len(contexts) // 5) + [len(contexts) % 5]
-    assert [c for c, _ in pairs] == contexts
-    _assert_starts_equal(params, contexts, memory_on, [s for _, s in pairs])
+    assert list(model.decode_each(params, iter(pairs), 12, flags, 0.7, 5)) == sampled
 
 
 def test_prefill_edge_cases():
     params = _params(4)
     assert prefill(params, []) == []
-    assert list(model.prefilled(params, [])) == []
+    assert list(model.decode_each(params, [], 4)) == []
     with pytest.raises(InvariantError, match="context must have at least one chunk"):
         prefill(params, [chunk([BOS, 7], 2), []])
     with pytest.raises(InvariantError, match="context chunks must be non-empty"):
@@ -174,11 +181,16 @@ def test_evaluate_dataset_equals_per_example_oracle(tmp_path, monkeypatch, memor
         params, dataset, vocab, l_chunk, 20, tau=0.5, key_k=2, flags=flags
     )
 
+    calls = []
+
     def per_example(params, chunks, max_len, flags, start=None):
+        calls.append(start)
         return oracle.decode(params, chunks, max_len, flags, lambda lg: int(np.argmax(lg)))
 
-    monkeypatch.setattr(metrics, "greedy_decode", per_example)
+    monkeypatch.setattr(model, "greedy_decode", per_example)
     want = metrics.evaluate_dataset(
         params, dataset, vocab, l_chunk, 20, tau=0.5, key_k=2, flags=flags
     )
+    # one greedy_decode call per example, each from its prefilled start
+    assert len(calls) == len(dataset) and None not in calls
     assert got.to_lines() == want.to_lines()
