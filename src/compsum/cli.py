@@ -170,8 +170,7 @@ def _final_epoch_mean(records: list[StepRecord], epochs: int, attr: str) -> floa
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_synth(config: RunConfig) -> int:
     if config.synth_count < 1:
         raise ConfigError("synth_count", "must be >= 1 to synthesize a corpus")
     out = _require_path(config, "data")
@@ -181,8 +180,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_build_vocab(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_build_vocab(config: RunConfig) -> int:
     streams = dataset_token_streams(_require_path(config, "data"))
     vocab = build_vocab(streams, config.min_freq)
     vocab.save(_require_path(config, "vocab"))
@@ -190,21 +188,19 @@ def _cmd_build_vocab(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_train(config: RunConfig) -> int:
     vocab, dataset = _load_vocab_and_data(config)
     records: list[StepRecord] = []
-    init = None
+    init, flags = None, AblationFlags(config.disable_memory)
+    # continued training keeps what the checkpoint header records; d comes with the tensors
     if config.checkpoint_in or config.stage == "comparative":
-        init = _load_matching_checkpoint(config, vocab)[0]
-        if init.d != config.d:
-            raise ConfigError("d", f"config d={config.d} but checkpoint has d={init.d}")
+        init, config.l_chunk, flags, config.key_k = _load_matching_checkpoint(config, vocab)
+        config.disable_memory = flags.disable_memory
     if config.stage == "pretrain":
         params = train_pretrain(dataset, config, vocab, init, records.append)
     else:
         params = train_comparative(dataset, init, config, vocab, records.append)
     if config.checkpoint_out:
-        flags = AblationFlags(config.disable_memory)
         save_checkpoint(config.checkpoint_out, params, config.l_chunk, flags, config.key_k)
     if config.report:
         write_lines(config.report, (json.dumps(r.to_record()) for r in records))
@@ -222,8 +218,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_generate(config: RunConfig) -> int:
     vocab, dataset = _load_vocab_and_data(config)
     params, l_chunk, flags, key_k = _load_matching_checkpoint(config, vocab)
     out = _require_path(config, "report")
@@ -238,8 +233,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
+def _cmd_evaluate(config: RunConfig) -> int:
     vocab, dataset = _load_vocab_and_data(config)
     params, l_chunk, flags, key_k = _load_matching_checkpoint(config, vocab)
     report = evaluate_dataset(
@@ -251,21 +245,20 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    probe = gradcheck_probe(args.seed)
+def _cmd_gradcheck(seed: int) -> int:
+    probe = gradcheck_probe(seed)
     err = finite_difference_check(probe.params, probe.loss, probe.grads, eps=1e-5)
     ok = err < GRADCHECK_TOLERANCE
     print(f"gradcheck max relative error {err:.6e} ({'pass' if ok else 'fail'})")
     return 0 if ok else 3
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
+def _cmd_pipeline(config: RunConfig) -> int:
     """synth (if synth_count > 0) -> vocab -> pretrain -> comparative ->
     evaluate; prints the aggregate report plus the two-stage loss total.
 
     A failure after the config is loaded propagates with the label of the
     stage it happened in, as its ``pipeline_stage`` attribute."""
-    config = load_config(args.config)
     flags = AblationFlags(config.disable_memory)
     label = "synth"
     try:
@@ -353,7 +346,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         # Overflow is checked explicitly where it matters (training steps,
         # checkpoint loads, config values), so numpy's warnings are noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.handler(args)
+            return args.handler(load_config(args.config) if "config" in args else args.seed)
     except (Error, OSError, MemoryError) as exc:
         stage = getattr(exc, "pipeline_stage", None)
         where = f"pipeline stage '{stage}': " if stage else ""

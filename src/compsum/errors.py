@@ -27,11 +27,11 @@ class SchemaError(DataError):
         self.line_no = line_no
 
 
-class CheckpointError(SchemaError):
-    """A checkpoint file is malformed; a binary file has no line to name."""
+class CheckpointError(DataError):
+    """A checkpoint file is malformed; the message names the file, not a line."""
 
     def __init__(self, path: str, reason: str):
-        DataError.__init__(self, f"checkpoint {path!r}: {reason}")
+        super().__init__(f"checkpoint {path!r}: {reason}")
 
 
 class ConfigError(DataError):

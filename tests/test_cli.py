@@ -224,6 +224,39 @@ class TestSubcommands:
         assert json.loads(out)["stage"] == "comparative"
         assert load_checkpoint(out_ckpt)[0].d == 8
 
+    def test_comparative_continues_on_the_checkpoint_settings(self, workspace):
+        # an ablated pretraining checkpoint, continued under a config that
+        # keeps the defaults: the run trains and saves the ablation it read
+        root, paths = workspace
+        keys = dict(data=paths["data"], vocab=paths["vocab"], d="8", epochs="1", lr="0.01")
+        ablated = str(root / "ablated_pre.ckpt")
+        cfg = write_config(root, "ablated_pre.cfg", stage="pretrain", checkpoint_out=ablated,
+                           disable_memory="true", key_k="0", l_chunk="5", **keys)
+        assert invoke(["train", "--config", cfg])[0] == 0
+        outputs = []
+        for name, stated in (("default", {}),
+                             ("stated", dict(disable_memory="true", key_k="0", l_chunk="5"))):
+            out, log = str(root / f"ablated_{name}.ckpt"), str(root / f"ablated_{name}.jsonl")
+            cfg = write_config(root, f"ablated_{name}.cfg", stage="comparative",
+                               checkpoint_in=ablated, checkpoint_out=out, report=log,
+                               **stated, **keys)
+            code, stdout, err = invoke(["train", "--config", cfg])
+            assert code == 0, err
+            outputs.append((stdout, open(out, "rb").read(), open(log, "rb").read()))
+        _, l_chunk, flags, key_k = load_checkpoint(str(root / "ablated_default.ckpt"))
+        assert (l_chunk, flags, key_k) == (5, AblationFlags(True), 0)
+        assert outputs[0] == outputs[1]
+
+    def test_checkpoint_d_overrides_the_config(self, workspace):
+        root, paths = workspace
+        out_ckpt = str(root / "comp_d16.ckpt")
+        cfg = write_config(root, "comp_d16.cfg", stage="comparative", data=paths["data"],
+                           vocab=paths["vocab"], checkpoint_in=paths["ckpt"],
+                           checkpoint_out=out_ckpt, d="16", epochs="1", lr="0.01")
+        code, _, err = invoke(["train", "--config", cfg])
+        assert code == 0, err
+        assert load_checkpoint(out_ckpt)[0].d == 8
+
     def test_generate_writes_summaries(self, workspace):
         root, paths = workspace
         report = str(root / "gen.jsonl")

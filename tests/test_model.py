@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from compsum.corpus import BOS, EOS, PAD, Chunk, chunk
-from compsum.errors import CheckpointError, InvariantError, NonFiniteLogits, SchemaError
+from compsum.errors import CheckpointError, DataError, InvariantError, NonFiniteLogits, SchemaError
 from compsum.model import (
     AblationFlags,
     ModelParams,
@@ -397,7 +397,7 @@ class TestCheckpoint:
         data = bytearray(open(path, "rb").read())
         data = mutate(data)
         open(path, "wb").write(bytes(data))
-        with pytest.raises(SchemaError, match=match):
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
@@ -426,6 +426,15 @@ class TestCheckpoint:
 
     def test_truncated(self, tmp_path):
         self._corrupt(tmp_path, lambda d: d[:-20])
+
+    def test_truncated_is_a_data_error_without_a_line(self, tmp_path):
+        # a binary file has no line number, so the error is no SchemaError
+        path, _ = self._save(tmp_path)
+        os.truncate(path, 40)
+        with pytest.raises(DataError) as exc:
+            load_checkpoint(path)
+        assert not isinstance(exc.value, SchemaError)
+        assert str(exc.value) == f"checkpoint {path!r}: truncated"
 
     def test_trailing_bytes(self, tmp_path):
         self._corrupt(tmp_path, lambda d: d + b"\x00\x01")
