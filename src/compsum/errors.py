@@ -42,7 +42,6 @@ class ConfigError(DataError):
     def __init__(self, key: str, reason: str):
         super().__init__(f"config key {key!r}: {reason}")
         self.key = key
-        self.reason = reason
 
 
 class NonFiniteLogits(InvariantError):

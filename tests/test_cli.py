@@ -692,6 +692,7 @@ class TestOutputFileMode:
 class TestExports:
     def test_every_exported_name_resolves(self):
         assert [name for name in compsum.__all__ if not hasattr(compsum, name)] == []
+        assert compsum.__all__ == ["Error", "__version__"]
 
     def test_one_config_key_per_run_config_field(self):
         names = [name for name, _ in _CONFIG_KEYS.values()]

@@ -31,11 +31,19 @@ def _used_names(tree: ast.AST) -> set[str]:
     return used
 
 
+def _exported_names(tree: ast.Module) -> set[str]:
+    """The names in a module-level ``__all__``, which must be a literal."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def test_no_unused_imports():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = []
         for node in ast.walk(tree):
@@ -43,6 +51,6 @@ def test_no_unused_imports():
                 imported += [(a.asname or a.name).split(".")[0] for a in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 imported += [a.asname or a.name for a in node.names]
-        used = _used_names(tree)
+        used = _used_names(tree) | _exported_names(tree)
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert not unused
