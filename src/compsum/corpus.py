@@ -198,15 +198,10 @@ def extract_key_elements(
     for s, e in spans:
         df.update(set(doc.body[s:e]))
     idf = {tok: math.log(n / c) for tok, c in df.items()}
-    scored = []
-    for rank, (s, e) in enumerate(spans):
-        # Rounded once, so sentences holding the same tokens tie in any order.
-        score = math.fsum(idf[tok] for tok in doc.body[s:e])
-        scored.append((-score, rank, (s, e)))
-    scored.sort()
-    top = [span for _, _, span in scored[:k]]
-    top.sort()
-    return top
+    # Rounded once, so sentences holding the same tokens tie in any order.
+    scores = [math.fsum(idf[tok] for tok in doc.body[s:e]) for s, e in spans]
+    top = sorted(range(n), key=lambda i: (-scores[i], i))[:k]
+    return [spans[i] for i in sorted(top)]
 
 
 def assemble_context(

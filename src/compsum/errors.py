@@ -3,7 +3,7 @@
 Two families: ``DataError`` for bad external input (files, schemas, config
 values) and ``InvariantError`` for violated internal contracts.  The CLI maps
 them to exit codes 2 and 3 respectively.  A subclass exists only where it
-carries data or some code catches it by name.
+takes data of its own: a line number, a file or a config key.
 """
 
 
@@ -43,6 +43,3 @@ class ConfigError(DataError):
         super().__init__(f"config key {key!r}: {reason}")
         self.key = key
 
-
-class NonFiniteLogits(InvariantError):
-    """Decoding met logits that are not finite; names the decode position."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import BOS, EOS, PAD, RESERVED_TOKENS, SENTENCE_DELIMITER, Chunk, PaperSet
 from .corpus import Vocabulary, assemble_context
-from .errors import CheckpointError, InvariantError, NonFiniteLogits
+from .errors import CheckpointError, InvariantError
 from .ioutil import atomic_write_bytes
 
 @dataclass(frozen=True)
@@ -469,7 +469,7 @@ def _decode(
         logits[BOS] = -np.inf
         tok = pick(logits)
         if tok is None:
-            raise NonFiniteLogits(f"logits not finite at decode position {len(out)}")
+            raise InvariantError(f"logits not finite at decode position {len(out)}")
         if tok == EOS:
             break
         out.append(tok)
@@ -495,28 +495,17 @@ def greedy_decode(
     """Argmax decoding; ties resolve to the lowest token id.  Stops at EOS
     (excluded from the output) or after max_len tokens.  Never emits PAD or
     BOS.  ``start``, the context's pair from ``prefill``, skips running the
-    context again.  Logits that are not finite raise ``NonFiniteLogits``."""
+    context again.  Logits that are not finite raise ``InvariantError``."""
     return _decode(params, context_chunks, max_len, flags, _argmax_pick, start)
 
 
-def sample_decode(
-    params: ModelParams,
-    context_chunks: Sequence[Chunk],
-    max_len: int,
-    temperature: float,
-    seed: int,
-    flags: AblationFlags = AblationFlags(),
-    start: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[int]:
-    """Temperature sampling from softmax(logits / temperature), seeded;
-    ``start`` and non-finite logits as for ``greedy_decode``.
+def _sampler(V: int, temperature: float, seed: int) -> Callable[[np.ndarray], int | None]:
+    """A ``pick`` that samples from softmax(logits / temperature), seeded.
 
     The logits are shifted to a maximum of 0 before the division, so a
     temperature too small for the quotients to stay finite samples the
     greedy token: every other quotient overflows to -inf.
     """
-    if not (np.isfinite(temperature) and temperature > 0):
-        raise ValueError("temperature must be finite and > 0 for sampling")
     rng = np.random.default_rng(seed)
 
     def pick(logits: np.ndarray) -> int | None:
@@ -525,9 +514,9 @@ def sample_decode(
             return None
         with np.errstate(over="ignore"):
             scaled = (logits - top) / temperature
-        return int(rng.choice(params.V, p=softmax(scaled)))
+        return int(rng.choice(V, p=softmax(scaled)))
 
-    return _decode(params, context_chunks, max_len, flags, pick, start)
+    return pick
 
 
 def decode_each(
@@ -539,10 +528,10 @@ def decode_each(
     seed: int = 0,
 ) -> Iterator[list[int]]:
     """Yield the tokens of each (example id, context chunks) pair in order:
-    ``greedy_decode`` at temperature 0, else ``sample_decode`` from a fresh
-    generator seeded with ``seed`` for every example.  Contexts are
-    ``prefill``-ed PREFILL_BLOCK at a time as decodes are asked for, and
-    ``NonFiniteLogits`` is raised again naming the example."""
+    ``greedy_decode`` at temperature 0, else temperature sampling from a
+    fresh generator seeded with ``seed`` for every example.  Contexts are
+    ``prefill``-ed PREFILL_BLOCK at a time as decodes are asked for, and a
+    decode's ``InvariantError`` is raised again naming the example."""
     it = iter(contexts)
     while block := list(itertools.islice(it, PREFILL_BLOCK)):
         starts = prefill(params, [chunks for _, chunks in block], flags)
@@ -551,9 +540,10 @@ def decode_each(
                 if temperature == 0.0:
                     ids = greedy_decode(params, chunks, max_len, flags, start=start)
                 else:
-                    ids = sample_decode(params, chunks, max_len, temperature, seed, flags, start)
-            except NonFiniteLogits as exc:
-                raise NonFiniteLogits(f"example {example_id!r}: {exc}") from None
+                    pick = _sampler(params.V, temperature, seed)
+                    ids = _decode(params, chunks, max_len, flags, pick, start)
+            except InvariantError as exc:
+                raise InvariantError(f"example {example_id!r}: {exc}") from None
             yield ids
 
 

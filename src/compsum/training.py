@@ -91,33 +91,30 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b) + 1e-8))
 
 
-def _cosine_backward(
-    a: np.ndarray, b: np.ndarray, dc: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of dc * cosine_similarity(a, b) w.r.t. a and b."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return np.zeros_like(a), np.zeros_like(b)
-    denom = na * nb + 1e-8
-    c = (a @ b) / denom
-    da = dc * (b - c * (nb / na) * a) / denom
-    db = dc * (a - c * (na / nb) * b) / denom
-    return da, db
+def _contrastive_parts(
+    vecs: Sequence[np.ndarray], ref: np.ndarray
+) -> tuple[float, list[np.ndarray], np.ndarray]:
+    """Loss and its gradients w.r.t. each of ``vecs`` and ``ref``.
 
-
-def _contrastive_parts(vecs: Sequence[np.ndarray], ref: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and its gradient w.r.t. the similarities s_i = cos(vecs[i], ref).
-
-    L = n * logsumexp(s) - sum(s), the softmax cross-entropy where each
-    insight is scored against all insights of the same example;
-    dL/ds = n * softmax(s) - 1.
+    L = n * logsumexp(s) - sum(s) over the similarities s_i = cos(vecs[i], ref),
+    the softmax cross-entropy where each insight is scored against all
+    insights of the same example; dL/ds = n * softmax(s) - 1.
     """
     sims = np.array([cosine_similarity(v, ref) for v in vecs])
     n = len(sims)
     m = float(np.max(sims))
     lse = m + float(np.log(np.exp(sims - m).sum()))
-    return n * lse - float(sims.sum()), n * softmax(sims) - 1.0
+    nb = np.linalg.norm(ref)
+    d_vecs, d_ref = [], np.zeros_like(ref)
+    for v, c, ds in zip(vecs, sims, n * softmax(sims) - 1.0):
+        na = np.linalg.norm(v)
+        if na == 0.0 or nb == 0.0:
+            d_vecs.append(np.zeros_like(v))
+            continue
+        denom = na * nb + 1e-8
+        d_vecs.append(ds * (ref - c * (nb / na) * v) / denom)
+        d_ref += ds * (v - c * (na / nb) * ref) / denom
+    return n * lse - float(sims.sum()), d_vecs, d_ref
 
 
 def comparative_loss(insight_vecs: Sequence[np.ndarray], ref_vec: np.ndarray) -> float:
@@ -297,18 +294,11 @@ def _loss_terms(
             raise InvariantError("contrastive term needs reference tokens")
         if not spec.insights:
             raise InvariantError("contrastive loss needs at least one insight sequence")
-        ins = [_encode_traced(params, seq) for seq in spec.insights]
-        ref_trace, e_ref = _encode_traced(params, spec.ref_tokens)
-        l_comp, dsims = _contrastive_parts([e for _, e in ins], e_ref)
-        d_ref = np.zeros(params.d)
-        means = []
-        for (enc, e), ds in zip(ins, dsims):
-            de, db = _cosine_backward(e, e_ref, float(ds))
-            d_ref += db
-            means.append((enc, de))
+        encs = [_encode_traced(params, seq) for seq in [*spec.insights, spec.ref_tokens]]
+        l_comp, d_vecs, d_ref = _contrastive_parts([e for _, e in encs[:-1]], encs[-1][1])
         # An encoding is the mean of its pass's hidden states, so each
         # position of the pass is seeded with 1/S of the weighted gradient.
-        for enc, d_mean in means + [(ref_trace, d_ref)]:
+        for (enc, _), d_mean in zip(encs, [*d_vecs, d_ref]):
             S = len(enc.input_ids)
             seeds.append((enc, None, np.tile(spec.lam * d_mean / S, (S, 1))))
     return l_gen, l_comp, seeds

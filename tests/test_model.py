@@ -10,18 +10,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from compsum.corpus import BOS, EOS, PAD, Chunk, chunk
-from compsum.errors import CheckpointError, DataError, InvariantError, NonFiniteLogits, SchemaError
+from compsum.errors import CheckpointError, DataError, InvariantError, SchemaError
 from compsum.model import (
     AblationFlags,
     ModelParams,
     _GatedCell,
+    decode_each,
     encode_sequence,
     forward,
     greedy_decode,
     init_params,
     load_checkpoint,
     memory_update,
-    sample_decode,
     save_checkpoint,
     sigmoid,
     softmax,
@@ -316,26 +316,23 @@ class TestDecode:
         # not asserted unequal (could coincide) -- both must at least decode
         assert isinstance(on, list) and isinstance(off, list)
 
-    def test_sample_decode_seeded(self):
+    def _decode_one(self, params, context, max_len, temperature, seed=0):
+        """The tokens ``decode_each`` yields for one example named 'x'."""
+        [out] = decode_each(params, [("x", context)], max_len, AblationFlags(), temperature, seed)
+        return out
+
+    def test_sampling_is_seeded(self):
         params = init_params(6, 14, 11)
         context = chunk([BOS, 7, 8, 9], 2)
-        a = sample_decode(params, context, 15, 1.0, seed=3)
-        b = sample_decode(params, context, 15, 1.0, seed=3)
-        c = sample_decode(params, context, 15, 1.0, seed=4)
+        a, b, c = (self._decode_one(params, context, 15, 1.0, seed) for seed in (3, 3, 4))
         assert a == b
         assert a != c or len(a) == 0
 
-    def test_sample_decode_low_temperature_matches_greedy(self):
+    def test_sampling_at_low_temperature_matches_greedy(self):
         p = self._rigged([9], worst_ids=[EOS])
-        assert sample_decode(p, chunk([BOS, 7], 2), 5, 1e-3, seed=0) == [9] * 5
+        assert self._decode_one(p, chunk([BOS, 7], 2), 5, 1e-3) == [9] * 5
         # every quotient but the greedy token's overflows to -inf
-        assert sample_decode(p, chunk([BOS, 7], 2), 5, 1e-320, seed=0) == [9] * 5
-
-    def test_sample_temperature_validation(self):
-        p = self._rigged([EOS])
-        for temperature in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
-                sample_decode(p, chunk([BOS], 1), 5, temperature, seed=0)
+        assert self._decode_one(p, chunk([BOS, 7], 2), 5, 1e-320) == [9] * 5
 
     def test_max_len_validation(self):
         p = self._rigged([EOS])
@@ -348,11 +345,9 @@ class TestDecode:
         # -inf is put in every row, so no logit is finite
         p = self._rigged([9])
         p.tensors["b_o"][slice(None) if logit == -np.inf else 10] = logit
-        with pytest.raises(NonFiniteLogits, match="^logits not finite at decode position 0$"):
-            if temperature == 0.0:
-                greedy_decode(p, chunk([BOS, 7], 2), 5)
-            else:
-                sample_decode(p, chunk([BOS, 7], 2), 5, temperature, seed=0)
+        message = "^example 'x': logits not finite at decode position 0$"
+        with pytest.raises(InvariantError, match=message):
+            self._decode_one(p, chunk([BOS, 7], 2), 5, temperature)
 
 
 class TestCheckpoint:

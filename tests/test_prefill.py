@@ -22,7 +22,7 @@ from compsum.corpus import (
     write_dataset,
 )
 from compsum.errors import InvariantError
-from compsum.model import AblationFlags, greedy_decode, init_params, prefill, sample_decode
+from compsum.model import AblationFlags, greedy_decode, init_params, prefill
 
 DIMS = (1, 6, 10, 32)
 CHUNK_SIZES = (1, 4, 16, None)  # None: the whole context in one chunk
@@ -79,6 +79,12 @@ def _assert_starts_equal(params, contexts, memory_on, got):
         assert np.array_equal(mem, want_mem)
 
 
+def _oracle_samples(params, contexts, flags):
+    """Each context's 12 tokens sampled at temperature 0.7 from a generator
+    seeded with 5, one position at a time."""
+    return [oracle.decode(params, c, 12, flags, oracle.sampler(V, 0.7, 5)) for c in contexts]
+
+
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("memory_on", [True, False])
 @pytest.mark.parametrize("l_chunk", CHUNK_SIZES)
@@ -103,7 +109,7 @@ def test_decode_each_spans_several_blocks(memory_on, monkeypatch):
     flags = _flags(memory_on)
     contexts = _contexts(4, seed=6) + _uneven_contexts(7) + _contexts(None, seed=8)
     greedy = [greedy_decode(params, chunks, 12, flags) for chunks in contexts]
-    sampled = [sample_decode(params, chunks, 12, 0.7, 5, flags) for chunks in contexts]
+    sampled = _oracle_samples(params, contexts, flags)
     pairs = [(f"ex{i}", chunks) for i, chunks in enumerate(contexts)]
     monkeypatch.setattr(model, "PREFILL_BLOCK", 5)
     blocks = []
@@ -157,8 +163,10 @@ def test_decoding_with_and_without_start(d, memory_on):
         want = oracle.decode(params, chunks, 12, flags, lambda lg: int(np.argmax(lg)))
         assert greedy_decode(params, chunks, 12, flags) == want
         assert greedy_decode(params, chunks, 12, flags, start=start) == want
-        sampled = sample_decode(params, chunks, 12, 0.7, 5, flags)
-        assert sample_decode(params, chunks, 12, 0.7, 5, flags, start=start) == sampled
+    # decode_each samples from each example's prefilled start
+    sampled = _oracle_samples(params, contexts, flags)
+    pairs = [(f"ex{i}", chunks) for i, chunks in enumerate(contexts)]
+    assert list(model.decode_each(params, pairs, 12, flags, 0.7, 5)) == sampled
 
 
 def test_decoding_start_shape_checked():

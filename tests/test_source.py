@@ -54,3 +54,39 @@ def test_no_unused_imports():
         used = _used_names(tree) | _exported_names(tree)
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert not unused
+
+
+def _defined_names(tree: ast.Module) -> list[str]:
+    """The names a module's top-level statements bind by def, class or
+    assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def test_every_private_name_is_used():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unused = [
+        f"{name}: {defined}"
+        for name, tree in trees.items()
+        for defined in _defined_names(tree)
+        if defined.startswith("_") and not defined.startswith("__") and defined not in read
+    ]
+    assert not unused

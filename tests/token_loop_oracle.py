@@ -194,3 +194,10 @@ def decode(
         x = t["E"][tok] + mem if memory_on else t["E"][tok]
         h = cell(params, h, x)[0]
     return out
+
+
+def sampler(V: int, temperature: float, seed: int) -> Callable[[np.ndarray], int]:
+    """A pick for ``decode`` that draws each token from
+    softmax((logits - max) / temperature) with one generator seeded by seed."""
+    rng = np.random.default_rng(seed)
+    return lambda logits: int(rng.choice(V, p=softmax((logits - logits.max()) / temperature)))
