@@ -106,11 +106,12 @@ def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
     return ModelParams(d, V, tensors)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x)
-    # below, with the same roundings as evaluating each branch on its own.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-max(x, -700))), into ``out`` (x itself allowed); exp never overflows."""
+    out = np.maximum(x, -700.0, out=out)
+    np.exp(np.negative(out, out=out), out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -123,14 +124,14 @@ def softmax(x: np.ndarray) -> np.ndarray:
 class _GatedCell:
     """The gated recurrent cell of one parameter set:
 
-    z = sigmoid(W_z x + U_z h_prev + b_z)          (update gate)
-    r = sigmoid(W_r x + U_r h_prev + b_r)          (reset gate)
-    h~ = tanh(W_h x + U_h (r * h_prev) + b_h)      (candidate)
-    h = (1 - z) * h_prev + z * h~
+    z = sigmoid(U_z h_prev + (W_z x + b_z))         (update gate)
+    r = sigmoid(U_r h_prev + (W_r x + b_r))         (reset gate)
+    h~ = tanh(U_h (r * h_prev) + (W_h x + b_h))     (candidate)
+    h = h_prev + z * (h~ - h_prev)
 
-    It is split into the input projections, which do not depend on the
-    hidden state and are computed for many positions at once, and the step
-    along the hidden-state chain.
+    It is split into the input projections ``W x + b``, which do not depend
+    on the hidden state and are computed for many positions at once, and the
+    step along the hidden-state chain, which writes into the caller's rows.
 
     Each gate keeps its own matrix-vector products, so every position gets
     bit for bit the values of evaluating the cell on its own.  The gate
@@ -145,35 +146,31 @@ class _GatedCell:
         t = params.tensors
         self.d = params.d
         self.W = np.array((t["W_z"], t["W_r"], t["W_h"]))
+        self.b = np.concatenate([t["b_z"], t["b_r"], t["b_h"]])
         self.U_zr = np.array((t["U_z"], t["U_r"]))
         self.U_h = t["U_h"]
-        self.b_zr = np.concatenate([t["b_z"], t["b_r"]])
-        self.b_h = t["b_h"]
 
     def project(self, xs: np.ndarray) -> np.ndarray:
-        """Rows [W_z x; W_r x; W_h x] (n, 3d) for the rows x of xs (n, d)."""
-        return np.matmul(self.W, xs[:, None, :, None]).reshape(len(xs), 3 * self.d)
+        """Rows [W_z x + b_z; W_r x + b_r; W_h x + b_h] (n, 3d) for the rows x of xs (n, d)."""
+        return np.matmul(self.W, xs[:, None, :, None]).reshape(len(xs), 3 * self.d) + self.b
 
-    def step(
-        self, h_prev: np.ndarray, xw: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One cell step from projected inputs; returns (h, [z; r], h~).
+    def step(self, h_prev: np.ndarray, xw: np.ndarray, h: np.ndarray,
+             zr: np.ndarray, h_cand: np.ndarray) -> None:
+        """One cell step from projected inputs into h, zr = [z; r] and h_cand.
 
         ``h_prev`` is one hidden state (d,) or a batch (n, d) with its rows
-        ``xw`` (n, 3d); every row rounds as it would on its own.
-        """
+        ``xw`` (n, 3d); the outputs are shaped as it and must not overlap it.
+        Every row rounds as it would on its own."""
         d = self.d
-        a = np.matmul(self.U_zr, h_prev[..., None, :, None]).reshape(xw.shape[:-1] + (2 * d,))
-        a += xw[..., : 2 * d]  # (W x + U h) + b, the cell's order of additions
-        a += self.b_zr
-        zr = sigmoid(a)
-        z, r = zr[..., :d], zr[..., d:]
-        c = (self.U_h @ (r * h_prev)[..., None])[..., 0]
-        c += xw[..., 2 * d :]
-        c += self.b_h
-        h_cand = np.tanh(c)
-        h = (1.0 - z) * h_prev + z * h_cand
-        return h, zr, h_cand
+        u = np.matmul(self.U_zr, h_prev[..., None, :, None])
+        np.add(u.reshape(zr.shape), xw[..., : 2 * d], out=zr)
+        sigmoid(zr, out=zr)
+        c = np.matmul(self.U_h, (zr[..., d:] * h_prev)[..., None])
+        np.add(c[..., 0], xw[..., 2 * d :], out=h_cand)
+        np.tanh(h_cand, out=h_cand)
+        np.subtract(h_cand, h_prev, out=h)
+        h *= zr[..., :d]
+        h += h_prev
 
 
 def memory_update(
@@ -282,9 +279,7 @@ def _run_stream(
     t = params.tensors
     cell = _GatedCell(params)
     xs = t["E"][ids]
-    hs = np.empty((S, d))
-    zrs = np.empty((S, 2 * d))
-    h_cands = np.empty((S, d))
+    hs, zrs, h_cands = np.empty((S, d)), np.empty((S, 2 * d)), np.empty((S, d))
     memory = None
     if memory_on:
         R, n = len(region_spans), region_spans[-1][0]
@@ -298,9 +293,9 @@ def _run_stream(
             xs[start:end] += m.mems[i]
         # cell.project works row by row, so the projections do not depend on
         # the region layout: memory-off outputs stay chunking-invariant.
-        for p, x_proj in zip(range(start, end), cell.project(xs[start:end])):
-            h, zrs[p], h_cands[p] = cell.step(h, x_proj)
-            hs[p] = h
+        for p, xw in zip(range(start, end), cell.project(xs[start:end])):
+            cell.step(h, xw, hs[p], zrs[p], h_cands[p])
+            h = hs[p]
         if memory_on and end < S:
             (m.qs[i], m.ks[start:end], m.vs[start:end], m.alphas[start:end], m.attended[i],
              m.gates[i], m.mems[i + 1]) = _attend(params, m.mems[i], hs[start:end])
@@ -418,8 +413,8 @@ def prefill(
     _check_token_ids(ids, params.V)
     t = params.tensors
     cell = _GatedCell(params)
-    h = np.zeros((B, d))
-    mem = np.zeros((B, d))
+    h, mem = np.zeros((B, d)), np.zeros((B, d))
+    h_next, zr, h_cand = np.empty((B, d)), np.empty((B, 2 * d)), np.empty((B, d))
     longest_region = max((m for by_len in ends.values() for m in by_len), default=0)
     region_hs = np.empty((B, longest_region if memory_on else 0, d))
     region_start = np.zeros(B, dtype=np.intp)
@@ -431,7 +426,9 @@ def prefill(
         x = t["E"][ids[:n, p]]
         if memory_on:
             x += mem[:n]
-        h[:n] = cell.step(h[:n], cell.project(x))[0]
+        # Copied back, not swapped: rows that have finished keep their state.
+        cell.step(h[:n], cell.project(x), h_next[:n], zr[:n], h_cand[:n])
+        h[:n] = h_next[:n]
         if memory_on:
             region_hs[all_rows[:n], p - region_start[:n]] = h[:n]
             for m, rows in ends.get(p, {}).items():
@@ -462,11 +459,12 @@ def _decode(
         raise InvariantError(f"decoding start must be two ({params.d},) vectors")
     t = params.tensors
     cell = _GatedCell(params)
+    h, h_next = h.copy(), np.empty(params.d)  # the buffer swaps must not write into start
+    zr, h_cand = np.empty(2 * params.d), np.empty(params.d)
     out: list[int] = []
     while len(out) < max_len:
         logits = t["W_o"] @ h + t["b_o"]
-        logits[PAD] = -np.inf
-        logits[BOS] = -np.inf
+        logits[PAD] = logits[BOS] = -np.inf
         tok = pick(logits)
         if tok is None:
             raise InvariantError(f"logits not finite at decode position {len(out)}")
@@ -474,7 +472,8 @@ def _decode(
             break
         out.append(tok)
         x = t["E"][tok] + mem if memory_on else t["E"][tok]
-        h = cell.step(h, cell.project(x[None])[0])[0]
+        cell.step(h, cell.project(x[None])[0], h_next, zr, h_cand)
+        h, h_next = h_next, h
     return out
 
 

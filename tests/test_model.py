@@ -4,6 +4,7 @@ passes, decoding, and checkpoint serialization."""
 import os
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from compsum.training import TrainConfig
 def cell_step(params, h_prev, x):
     """One step of the model's gated recurrent cell from h_prev on input x."""
     cell = _GatedCell(params)
-    return cell.step(h_prev, cell.project(x[None])[0])[0]
+    h = np.empty(params.d)
+    cell.step(h_prev, cell.project(x[None])[0], h, np.empty(2 * params.d), np.empty(params.d))
+    return h
 
 
 def zero_params(d, V):
@@ -66,6 +69,17 @@ class TestActivations:
     def test_sigmoid_matches_definition(self):
         x = np.linspace(-20, 20, 41)
         assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-15)
+
+    def test_sigmoid_in_place_and_without_warnings(self):
+        x = np.array([-746.0, -1e308, -np.inf, np.nan, 1e308, -3.5, 0.0, 2.25])
+        with warnings.catch_warnings(), np.errstate(over="warn", invalid="warn", divide="warn"):
+            warnings.simplefilter("error", RuntimeWarning)
+            want = sigmoid(x)
+            got = sigmoid(x, out=x)
+        assert got is x
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.all((0.0 < got[:3]) & (got[:3] < 1e-300))
+        assert np.isnan(got[3]) and got[4] == 1.0
 
     def test_softmax_sums_to_one(self):
         rng = np.random.default_rng(0)

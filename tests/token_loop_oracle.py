@@ -26,14 +26,9 @@ from compsum.model import (
 from compsum.training import Gradients, _memory_update_backward
 
 
-def masked_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Sigmoid evaluated separately on each sign to avoid overflow in exp."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def clipped_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Sigmoid of x clipped below at -700, where exp(-x) stays finite."""
+    return 1.0 / (1.0 + np.exp(-np.maximum(x, -700.0)))
 
 
 def cell(
@@ -41,10 +36,10 @@ def cell(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One cell step; returns (h, z, r, h_cand)."""
     t = params.tensors
-    z = masked_sigmoid(t["W_z"] @ x + t["U_z"] @ h_prev + t["b_z"])
-    r = masked_sigmoid(t["W_r"] @ x + t["U_r"] @ h_prev + t["b_r"])
-    h_cand = np.tanh(t["W_h"] @ x + t["U_h"] @ (r * h_prev) + t["b_h"])
-    h = (1.0 - z) * h_prev + z * h_cand
+    z = clipped_sigmoid(t["U_z"] @ h_prev + (t["W_z"] @ x + t["b_z"]))
+    r = clipped_sigmoid(t["U_r"] @ h_prev + (t["W_r"] @ x + t["b_r"]))
+    h_cand = np.tanh(t["U_h"] @ (r * h_prev) + (t["W_h"] @ x + t["b_h"]))
+    h = h_prev + z * (h_cand - h_prev)
     return h, z, r, h_cand
 
 
@@ -58,7 +53,7 @@ def memory_update(
     vs = hiddens @ t["W_v"].T
     alpha = softmax(ks @ q / np.sqrt(params.d))
     attended = alpha @ vs
-    gate = masked_sigmoid(t["W_g"] @ np.concatenate([mem_prev, attended]) + t["b_g"])
+    gate = clipped_sigmoid(t["W_g"] @ np.concatenate([mem_prev, attended]) + t["b_g"])
     mem_new = (1.0 - gate) * mem_prev + gate * attended
     return q, ks, vs, alpha, attended, gate, mem_new
 
