@@ -18,7 +18,8 @@ import itertools
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from collections import UserDict
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,29 +42,6 @@ def model_context(paper_set: PaperSet, vocab: Vocabulary, key_k: int) -> list[in
     return assemble_context(paper_set, key_k, vocab.id_of(SENTENCE_DELIMITER))
 
 
-@dataclass
-class ModelParams:
-    """All trainable tensors, keyed by the names in TENSOR_NAMES.
-
-    Shapes: E (V, d); gate matrices W_*/U_* (d, d) with biases (d,);
-    attention projections W_q/W_k/W_v (d, d); memory gate W_g (d, 2d) with
-    b_g (d,); output head W_o (V, d) with b_o (V,).
-    """
-
-    d: int
-    V: int
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.d, self.V, {k: v.copy() for k, v in self.tensors.items()})
-
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
-
-
 def tensor_shapes(d: int, V: int) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {"E": (V, d)}
     for g in ("z", "r", "h"):
@@ -76,6 +54,70 @@ def tensor_shapes(d: int, V: int) -> dict[str, tuple[int, ...]]:
 
 
 TENSOR_NAMES = tuple(tensor_shapes(1, 1))
+# The tensors' order in memory: the blocks of each stack lie side by side.
+_LAYOUT = ("E", "W_z", "W_r", "W_h", "U_z", "U_r", "U_h", "b_z", "b_r", "b_h",
+           "W_q", "W_k", "W_v", "W_g", "b_g", "W_o", "b_o")
+_STACKS = {"W_zrh": ("W_z", "W_h"), "U_zr": ("U_z", "U_r"), "b_zrh": ("b_z", "b_h"),
+           "W_kv": ("W_k", "W_v")}
+
+
+class Tensors(UserDict):
+    """The tensors of a (d, V) model, keyed in TENSOR_NAMES order, as views
+    into one float64 vector ``flat`` in ``_LAYOUT`` order; so are the stacks
+    ``W_zrh`` (3d, d), ``U_zr`` (2d, d), ``b_zrh`` (3d,) and ``W_kv`` (2d, d).
+    Assigning a name copies into its view, so ``grads[name] += x`` adds in
+    place; a wrong shape, an unknown name or a deletion raises InvariantError."""
+
+    def __init__(self, d: int, V: int, flat: np.ndarray | None = None):
+        shapes = tensor_shapes(d, V)
+        ends = dict(zip(_LAYOUT, itertools.accumulate(math.prod(shapes[n]) for n in _LAYOUT)))
+        starts = {n: ends[n] - math.prod(shapes[n]) for n in _LAYOUT}
+        self.d, self.V = d, V
+        self.flat = np.zeros(ends[_LAYOUT[-1]]) if flat is None else flat
+        self.data = {n: self.flat[starts[n] : ends[n]].reshape(shapes[n]) for n in TENSOR_NAMES}
+        for stack, (first, last) in _STACKS.items():
+            setattr(self, stack, self.flat[starts[first] : ends[last]].reshape(-1, *shapes[first][1:]))
+
+    def __setitem__(self, name: str, value: np.ndarray) -> None:
+        view = self.data.get(name)
+        if view is None or np.shape(value) != view.shape:
+            want = "no such tensor" if view is None else f"shape {view.shape}"
+            raise InvariantError(f"tensor {name!r}: {want}, got shape {np.shape(value)}")
+        view[...] = value
+
+    def __delitem__(self, name: str) -> None:
+        raise InvariantError(f"tensor {name!r} cannot be deleted")
+
+    def copy(self) -> "Tensors":
+        return Tensors(self.d, self.V, self.flat.copy())
+
+
+@dataclass
+class ModelParams:
+    """All trainable tensors in one ``Tensors`` store (a mapping is copied in).
+
+    Shapes: E (V, d); gate matrices W_*/U_* (d, d) with biases (d,);
+    attention projections W_q/W_k/W_v (d, d); memory gate W_g (d, 2d) with
+    b_g (d,); output head W_o (V, d) with b_o (V,).
+    """
+
+    d: int
+    V: int
+    tensors: Tensors = ()  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.tensors, Tensors):
+            given, self.tensors = self.tensors, Tensors(self.d, self.V)
+            self.tensors.update(given)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.tensors[name]
+
+    def copy(self) -> "ModelParams":
+        return ModelParams(self.d, self.V, self.tensors.copy())
+
+    def zeros_like(self) -> Tensors:
+        return Tensors(self.d, self.V)
 
 
 def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
@@ -97,13 +139,14 @@ def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
             f"model of d={d}, V={V} needs {size} bytes, more than the {physical} bytes "
             "of physical memory"
         )
-    rng = np.random.default_rng(seed)
     try:
-        tensors = {name: rng.uniform(-scale, scale, shapes[name]) for name in TENSOR_NAMES}
+        params = ModelParams(d, V)
     except ValueError:
-        # numpy refuses shapes whose byte count overflows its index type
+        # numpy refuses sizes whose byte count overflows its index type
         raise MemoryError(f"model of d={d}, V={V} is too large to allocate") from None
-    return ModelParams(d, V, tensors)
+    rng = np.random.default_rng(seed)
+    params.tensors.update((n, rng.uniform(-scale, scale, shapes[n])) for n in TENSOR_NAMES)
+    return params
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -129,26 +172,21 @@ class _GatedCell:
     h~ = tanh(U_h (r * h_prev) + (W_h x + b_h))     (candidate)
     h = h_prev + z * (h~ - h_prev)
 
-    It is split into the input projections ``W x + b``, which do not depend
-    on the hidden state and are computed for many positions at once, and the
-    step along the hidden-state chain, which writes into the caller's rows.
-
-    Each gate keeps its own matrix-vector products, so every position gets
-    bit for bit the values of evaluating the cell on its own.  The gate
-    matrices are stacked as a batch (g, d, d), whose products numpy takes
-    one matrix at a time.  Stacked as one (g*d, d) matrix they would not
-    be: with OpenBLAS that rounds some rows differently whenever d >= 9 is
-    not a multiple of 4, because the stacked rows fall into other blocks of
-    the kernel.
+    ``project`` computes ``W x + b`` for a region's positions at once, and
+    ``step`` runs the hidden-state chain into the caller's rows; each
+    position gets bit for bit the values of the cell run on its own.  Once
+    per region, the input matrices can stay a batch (3, d, d) of per-gate
+    products, as the token-loop oracle takes them.  ``U_zr h`` runs at every
+    step, so it is one (2d, d) product, one BLAS call instead of two, and
+    the oracle takes that stacked product too: with OpenBLAS it rounds some
+    rows unlike the separate U_z h and U_r h whenever d >= 9 is not a
+    multiple of 4, but alike for one row and for each row of a batch.
     """
 
     def __init__(self, params: ModelParams):
-        t = params.tensors
-        self.d = params.d
-        self.W = np.array((t["W_z"], t["W_r"], t["W_h"]))
-        self.b = np.concatenate([t["b_z"], t["b_r"], t["b_h"]])
-        self.U_zr = np.array((t["U_z"], t["U_r"]))
-        self.U_h = t["U_h"]
+        t, self.d = params.tensors, params.d
+        self.W, self.b = t.W_zrh.reshape(3, self.d, self.d), t.b_zrh
+        self.U_zr, self.U_h = t.U_zr, t["U_h"]
 
     def project(self, xs: np.ndarray) -> np.ndarray:
         """Rows [W_z x + b_z; W_r x + b_r; W_h x + b_h] (n, 3d) for the rows x of xs (n, d)."""
@@ -162,8 +200,8 @@ class _GatedCell:
         ``xw`` (n, 3d); the outputs are shaped as it and must not overlap it.
         Every row rounds as it would on its own."""
         d = self.d
-        u = np.matmul(self.U_zr, h_prev[..., None, :, None])
-        np.add(u.reshape(zr.shape), xw[..., : 2 * d], out=zr)
+        np.matmul(self.U_zr, h_prev[..., None], out=zr[..., None])
+        zr += xw[..., : 2 * d]
         sigmoid(zr, out=zr)
         c = np.matmul(self.U_h, (zr[..., d:] * h_prev)[..., None])
         np.add(c[..., 0], xw[..., 2 * d :], out=h_cand)
@@ -272,10 +310,9 @@ def _run_stream(
     is recomputed at each boundary from the region just completed.  Logits
     are produced for positions logits_start..S-1.
     """
-    S = len(input_ids)
-    d, V = params.d, params.V
+    S, d = len(input_ids), params.d
     ids = np.asarray(input_ids)
-    _check_token_ids(ids, V)
+    _check_token_ids(ids, params.V)
     t = params.tensors
     cell = _GatedCell(params)
     xs = t["E"][ids]
@@ -434,9 +471,7 @@ def prefill(
             for m, rows in ends.get(p, {}).items():
                 mem[rows] = _attend(params, mem[rows], region_hs[rows, :m])[-1]
                 region_start[rows] = p + 1
-    row_of = np.empty(B, dtype=np.intp)
-    row_of[order] = all_rows
-    return [(h[row], mem[row]) for row in row_of]
+    return [(h[row], mem[row]) for row in np.argsort(order)]
 
 
 def _decode(
@@ -573,15 +608,14 @@ def save_checkpoint(
     float64 values; ``tensor_shapes(d, V)`` fixes every shape.  Non-finite values raise ``InvariantError`` before
     anything is written, since ``load_checkpoint`` would reject the file.
     """
-    for name in TENSOR_NAMES:
-        if not np.all(np.isfinite(params.tensors[name])):
+    bits = int(flags.disable_memory)
+    parts = [_HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, bits, key_k)]
+    for name, tensor in params.tensors.items():
+        if not np.all(np.isfinite(tensor)):
             raise InvariantError(
                 f"checkpoint {path!r} not written: tensor '{name}' holds non-finite values"
             )
-    bits = int(flags.disable_memory)
-    parts = [_HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, bits, key_k)]
-    for name in TENSOR_NAMES:
-        parts += (_record_head(name), params.tensors[name].astype("<f8").tobytes())
+        parts += (_record_head(name), tensor.astype("<f8").tobytes())
     atomic_write_bytes(path, b"".join(parts))
 
 
@@ -618,7 +652,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags, int]:
         off = start + 8 * count
         if off > len(data):
             raise CheckpointError(path, "truncated")
-        tensor = np.frombuffer(data, "<f8", count, start).astype(np.float64)
+        tensor = np.frombuffer(data, "<f8", count, start)
         if not np.all(np.isfinite(tensor)):
             raise CheckpointError(path, f"tensor '{name}' contains non-finite values")
         tensors[name] = tensor.reshape(shapes[name])

@@ -31,6 +31,7 @@ from .errors import DataError, InvariantError
 from .model import (
     ForwardTrace,
     ModelParams,
+    Tensors,
     _chunk_layout,
     _encode_traced,
     _run_stream,
@@ -41,7 +42,7 @@ from .model import (
     softmax,
 )
 
-Gradients = dict[str, np.ndarray]
+Gradients = Tensors
 
 
 # --- loss values -----------------------------------------------------------
@@ -157,46 +158,6 @@ def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
         )
 
 
-def _memory_update_backward(
-    params: ModelParams,
-    trace: ForwardTrace,
-    i: int,
-    d_new: np.ndarray,
-    grads: Gradients,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop the memory update that folds region i into the memory;
-    returns (d_mem_prev, d_hiddens) for the memory in effect in region i and
-    that region's hidden states."""
-    t = params.tensors
-    d = params.d
-    m = trace.memory
-    start, end = trace.region_spans[i]
-    mem_prev, attended, gate = m.mems[i], m.attended[i], m.gates[i]
-    alpha, ks, vs = m.alphas[start:end], m.ks[start:end], m.vs[start:end]
-    hiddens = trace.hs[start:end]
-    dg = d_new * (attended - mem_prev)
-    d_att = d_new * gate
-    d_mem_prev = d_new * (1.0 - gate)
-    dg_pre = dg * gate * (1.0 - gate)
-    grads["W_g"] += np.outer(dg_pre, np.concatenate([mem_prev, attended]))
-    grads["b_g"] += dg_pre
-    du = t["W_g"].T @ dg_pre
-    d_mem_prev += du[:d]
-    d_att = d_att + du[d:]
-    dalpha = vs @ d_att
-    dvs = np.outer(alpha, d_att)
-    dscores = alpha * (dalpha - alpha @ dalpha)
-    inv_sqrt_d = 1.0 / np.sqrt(d)
-    dq = (ks.T @ dscores) * inv_sqrt_d
-    dks = np.outer(dscores, m.qs[i]) * inv_sqrt_d
-    grads["W_q"] += np.outer(dq, mem_prev)
-    d_mem_prev += t["W_q"].T @ dq
-    grads["W_k"] += dks.T @ hiddens
-    grads["W_v"] += dvs.T @ hiddens
-    d_hiddens = dks @ t["W_k"] + dvs @ t["W_v"]
-    return d_mem_prev, d_hiddens
-
-
 def _backward_stream(
     params: ModelParams,
     trace: ForwardTrace,
@@ -207,13 +168,13 @@ def _backward_stream(
     """Accumulate exact gradients of a scalar that feeds ``dlogits`` into the
     trace's logits and/or ``dh_seeds`` into its hidden states.
 
-    Sweeps full depth (no truncation): regions last-to-first, positions
-    last-to-first, backing through each memory update into the previous
-    region's hidden states and the prior memory.  Only the hidden-state
-    chain runs position by position; it stores each position's gate
-    gradients [da_z | da_r | da_h], from which the input gradients take one
-    matrix product per region and the weight gradients one per stream
-    (Appleyard et al., arXiv:1604.01946).
+    Sweeps full depth: regions and positions last-to-first, backing through
+    each memory update into the previous region's hidden states and the
+    prior memory.  Only the hidden-state chain runs position by position; it
+    stores each position's gate gradients [da_z | da_r | da_h], and each
+    memory update its gate and query gradients and its region's [dk | dv]
+    rows.  The input gradients and every weight gradient take one matrix
+    product per stream (Appleyard et al., arXiv:1604.01946).
     """
     t = params.tensors
     d = params.d
@@ -226,17 +187,14 @@ def _backward_stream(
         grads["W_o"] += dlogits.T @ trace.hs[start:]
         grads["b_o"] += dlogits.sum(axis=0)
         dhs[start:] += dlogits @ t["W_o"]
-    memory_on = trace.memory is not None
+    m = trace.memory
     # Without the memory no gradient crosses a region boundary other than
     # along the chain, so the whole stream is one region.
-    spans = trace.region_spans if memory_on else [(0, S)]
-    ids = np.asarray(trace.input_ids)
+    spans = trace.region_spans if m is not None else [(0, S)]
     zs, rs, h_cands = trace.zs, trace.rs, trace.h_cands
     h_prevs = np.zeros((S, d))
     h_prevs[1:] = trace.hs[:-1]
-    U_h_T = t["U_h"].T
-    U_zr_T = np.concatenate([t["U_z"], t["U_r"]]).T
-    W_zrh = np.concatenate([t["W_z"], t["W_r"], t["W_h"]])
+    U_h_T, U_zr_T = t["U_h"].T, t.U_zr.T
     # Rows [da_z | da_r | da_h] start as the chain rule's factors that depend
     # on the forward pass alone, [C_z | C_r | A_h], and the sweep multiplies
     # them in place: a_h = dh * A_h, a_z = dh * C_z, a_r = (U_h^T a_h) * C_r.
@@ -246,6 +204,14 @@ def _backward_stream(
     np.multiply((h_cands - h_prevs) * zs, one_minus_z, out=da_z)
     np.multiply(h_prevs * rs, 1.0 - rs, out=da_r)
     np.multiply(zs, 1.0 - h_cands * h_cands, out=da_h)
+    if m is not None:
+        # Update i blends mems[i + 1] = (1 - g) * mems[i] + g * attended, so
+        # its gate gradient is its d_mem times (attended - mems[i]) g (1 - g).
+        n, keep = spans[-1][0], 1.0 - m.gates
+        dg_pre = (m.attended - m.mems[:-1]) * m.gates * keep
+        dq, dkv = np.empty_like(dg_pre), np.empty((n, 2 * d))
+        scaled_ks, scaled_qs = m.ks / np.sqrt(d), m.qs / np.sqrt(d)
+        W_g_T, W_q_T = t["W_g"].T, t["W_q"].T
     d_mem = np.zeros(d)
     carry = np.zeros(d)
     for ri in range(len(spans) - 1, -1, -1):
@@ -258,21 +224,33 @@ def _backward_stream(
             a_z *= dh
             a_r *= u
             carry = dh * one_minus_z[p] + u * rs[p] + U_zr_T @ da_zr[p]
-        dx = da[start:end] @ W_zrh
-        np.add.at(grads["E"], ids[start:end], dx)
-        if memory_on:
-            d_mem += dx.sum(axis=0)
-            if ri > 0:
-                d_mem, d_hiddens = _memory_update_backward(params, trace, ri - 1, d_mem, grads)
-                dhs[slice(*spans[ri - 1])] += d_hiddens
-    dW = da.T @ trace.xs
-    dU = np.concatenate([da_zr.T @ h_prevs, da_h.T @ (rs * h_prevs)])
-    db = da.sum(axis=0)
-    for i, g in enumerate("zrh"):
-        rows = slice(i * d, (i + 1) * d)
-        grads[f"W_{g}"] += dW[rows]
-        grads[f"U_{g}"] += dU[rows]
-        grads[f"b_{g}"] += db[rows]
+        if m is None or ri == 0:
+            continue
+        # Back through update i, which folded region i into the memory.
+        i = ri - 1
+        s, e = spans[i]
+        d_mem += da[start:end].sum(axis=0) @ t.W_zrh
+        dg_pre[i] *= d_mem
+        du = W_g_T @ dg_pre[i]
+        d_att = d_mem * m.gates[i] + du[d:]
+        alpha = m.alphas[s:e]
+        dalpha = m.vs[s:e] @ d_att
+        dscores = alpha * (dalpha - alpha @ dalpha)
+        np.dot(scaled_ks[s:e].T, dscores, out=dq[i])
+        np.multiply.outer(dscores, scaled_qs[i], out=dkv[s:e, :d])
+        np.multiply.outer(alpha, d_att, out=dkv[s:e, d:])
+        d_mem = d_mem * keep[i] + du[:d] + W_q_T @ dq[i]
+        dhs[s:e] += dkv[s:e] @ t.W_kv
+    np.add.at(grads["E"], trace.input_ids, da @ t.W_zrh)
+    grads.W_zrh += da.T @ trace.xs
+    grads.U_zr += da_zr.T @ h_prevs
+    grads["U_h"] += da_h.T @ (rs * h_prevs)
+    grads.b_zrh += da.sum(axis=0)
+    if m is not None:
+        grads["W_g"] += dg_pre.T @ np.concatenate([m.mems[:-1], m.attended], axis=1)
+        grads["b_g"] += dg_pre.sum(axis=0)
+        grads["W_q"] += dq.T @ m.mems[:-1]
+        grads.W_kv += dkv.T @ trace.hs[:n]
 
 
 def _loss_terms(
@@ -348,9 +326,7 @@ def finite_difference_check(
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and > 0")
     analytic = grad_fn(params)
-    entries: list[tuple[str, int]] = []
-    for name, tensor in params.tensors.items():
-        entries.extend((name, i) for i in range(tensor.size))
+    entries = [(name, i) for name, tensor in params.tensors.items() for i in range(tensor.size)]
     if max_entries is not None and max_entries < len(entries):
         rng = np.random.default_rng(seed)
         picked = rng.choice(len(entries), size=max_entries, replace=False)
@@ -435,41 +411,29 @@ def init_adam_state(params: ModelParams) -> AdamState:
 def clip_gradients(grads: Gradients, max_norm: float) -> float:
     """Scale all gradients in place so the global L2 norm is <= max_norm;
     returns the pre-clip norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    norm = float(np.sqrt(total))
+    # numpy's own dot kernel: OpenBLAS splits a dot of over 10,000 entries
+    # across its threads, and the sum would round by the thread count.
+    norm = math.sqrt(np.einsum("i,i->", grads.flat, grads.flat))
     if norm > max_norm:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grads.flat *= max_norm / norm
     return norm
 
 
 def optimizer_step(
     params: ModelParams, grads: Gradients, opt_state: AdamState, config: "TrainConfig"
 ) -> None:
-    """One Adam update at ``config.learning_rate`` in place; increments the
-    step counter by 1."""
-    for name, tensor in params.tensors.items():
-        if name not in grads or grads[name].shape != tensor.shape:
-            got = grads[name].shape if name in grads else None
-            raise InvariantError(f"gradient for '{name}' has shape {got}, want {tensor.shape}")
+    """One Adam update at ``config.learning_rate`` in place, over the flat
+    vectors of all tensors at once; increments the step counter by 1."""
     opt_state.step += 1
-    t = opt_state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bias1 = 1.0 - b1**t
-    bias2 = 1.0 - b2**t
-    for name, g in grads.items():
-        m = opt_state.m[name]
-        v = opt_state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        params.tensors[name] -= config.learning_rate * (m / bias1) / (
-            np.sqrt(v / bias2) + ADAM_EPS
-        )
+    g, m, v = grads.flat, opt_state.m.flat, opt_state.v.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    params.tensors.flat -= config.learning_rate * (m / (1.0 - b1**opt_state.step)) / (
+        np.sqrt(v / (1.0 - b2**opt_state.step)) + ADAM_EPS
+    )
 
 
 # --- training loops --------------------------------------------------------

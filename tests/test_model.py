@@ -1,6 +1,7 @@
 """Tests for the recurrent cell, the cross-chunk attention memory, forward
 passes, decoding, and checkpoint serialization."""
 
+import math
 import os
 import re
 import struct
@@ -14,6 +15,7 @@ from compsum.corpus import BOS, EOS, PAD, Chunk, chunk
 from compsum.errors import CheckpointError, DataError, InvariantError, SchemaError
 from compsum.model import (
     AblationFlags,
+    TENSOR_NAMES,
     ModelParams,
     _GatedCell,
     decode_each,
@@ -203,6 +205,80 @@ class TestInitParams:
         for d in (10**15, 10**18):
             with pytest.raises(MemoryError):
                 init_params(d, 11, 7)
+
+
+class TestStorage:
+    """Every tensor is a view into one flat vector per parameter set."""
+
+    STACKS = {"W_zrh": ("W_z", "W_r", "W_h"), "U_zr": ("U_z", "U_r"),
+              "b_zrh": ("b_z", "b_r", "b_h"), "W_kv": ("W_k", "W_v")}
+
+    def test_named_and_stacked_views_share_the_flat_vector(self):
+        t = init_params(5, 13, 0).tensors
+        assert t.flat.shape == (sum(math.prod(s) for s in tensor_shapes(5, 13).values()),)
+        for name in TENSOR_NAMES:
+            assert np.shares_memory(t[name], t.flat), name
+        for stack, names in self.STACKS.items():
+            view = getattr(t, stack)
+            assert np.shares_memory(view, t.flat), stack
+            assert np.array_equal(view, np.concatenate([t[name] for name in names])), stack
+        t.W_kv[5, 0] = 7.0  # row 0 of W_v
+        assert t["W_v"][0, 0] == 7.0
+
+    def test_order_is_tensor_names(self):
+        params = init_params(3, 9, 0)
+        assert list(params.tensors) == list(TENSOR_NAMES)
+        assert list(params.zeros_like()) == list(params.copy().tensors) == list(TENSOR_NAMES)
+
+    def test_assignment_copies_into_the_view(self):
+        t = init_params(3, 9, 0).tensors
+        view = t["W_q"]
+        value = np.arange(9.0).reshape(3, 3)
+        t["W_q"] = value
+        value[0, 0] = 99.0
+        assert t["W_q"] is view
+        assert np.array_equal(view, np.arange(9.0).reshape(3, 3))
+        assert np.shares_memory(view, t.flat)
+
+    def test_plain_mapping_is_copied_in(self):
+        given = {name: np.full(shape, 0.5) for name, shape in tensor_shapes(2, 7).items()}
+        params = ModelParams(2, 7, given)
+        given["E"][0, 0] = 1.0
+        assert np.all(params.tensors.flat == 0.5)
+
+    def test_refuses_wrong_shape_unknown_name_and_deletion(self):
+        t = init_params(3, 9, 0).tensors
+        before = t.flat.copy()
+        want = "tensor 'E': shape (9, 3), got shape (3, 9)"
+        with pytest.raises(InvariantError, match=re.escape(want)):
+            t["E"] = np.zeros((3, 9))
+        want = "tensor 'W_x': no such tensor, got shape (3, 3)"
+        with pytest.raises(InvariantError, match=re.escape(want)):
+            t["W_x"] = np.zeros((3, 3))
+        with pytest.raises(InvariantError, match="tensor 'b_o' cannot be deleted"):
+            del t["b_o"]
+        assert list(t) == list(TENSOR_NAMES)
+        assert np.array_equal(t.flat, before)
+
+    def test_copy_and_zeros_like_are_independent(self):
+        params = init_params(3, 9, 0)
+        before = params.tensors.flat.copy()
+        copy, zeros = params.copy(), params.zeros_like()
+        assert np.array_equal(copy.tensors.flat, before) and not np.any(zeros.flat)
+        copy.tensors["E"][0, 0] += 1.0
+        zeros["E"][0, 0] = 1.0
+        copy.tensors.U_zr[0, 0] += 1.0
+        zeros.b_zrh[0] = 1.0
+        assert np.array_equal(params.tensors.flat, before)
+        assert not np.shares_memory(copy.tensors.flat, zeros.flat)
+
+    def test_augmented_assignment_keeps_the_view(self):
+        grads = init_params(3, 9, 0).zeros_like()
+        view = grads["U_h"]
+        grads["U_h"] += 2.0
+        assert grads["U_h"] is view
+        assert np.all(view == 2.0)
+        assert np.array_equal(grads.flat[grads.flat != 0], np.full(9, 2.0))
 
 
 class TestForward:

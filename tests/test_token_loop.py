@@ -58,7 +58,10 @@ def _assert_grads_close(got, want):
 
 def _random_grads(params, seed):
     rng = np.random.default_rng(seed)
-    return {k: rng.normal(size=v.shape) for k, v in params.tensors.items()}
+    grads = params.zeros_like()
+    for name, tensor in grads.items():
+        grads[name] = rng.normal(size=tensor.shape)
+    return grads
 
 
 class TestActivationAndSum:
@@ -92,7 +95,7 @@ class TestStreamPasses:
         _, dlogits = training._generation_loss_and_dlogits(trace.logits, np.asarray(target))
         # Non-zero accumulators: the new terms must be added to them in order.
         got = _random_grads(params, 3)
-        want = {k: v.copy() for k, v in got.items()}
+        want = got.copy()
         _backward_stream(params, trace, got, dlogits=dlogits)
         oracle.backward_stream(params, trace, want, dlogits=dlogits)
         _assert_grads_close(got, want)

@@ -269,11 +269,32 @@ class TestFiniteDifference:
                 finite_difference_check(probe.params, probe.loss, probe.grads, eps=eps)
 
 
+def per_tensor_adam(params, grads, m, v, step, lr):
+    """One Adam update tensor by tensor, as plain dicts: the oracle of
+    ``optimizer_step``'s update of the flat vectors."""
+    b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+    bias1 = 1.0 - b1**step
+    bias2 = 1.0 - b2**step
+    for name, g in grads.items():
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (g * g)
+        params[name] -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + training.ADAM_EPS)
+
+
+def random_grads(params, rng, scale=1.0):
+    grads = params.zeros_like()
+    for name, tensor in grads.items():
+        grads[name] = rng.normal(size=tensor.shape) * scale
+    return grads
+
+
 class TestAdam:
     def test_frozen_first_step(self):
         params = zero_params(2, 7)
         params.tensors["E"][0, 0] = 1.0
-        grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        grads = params.zeros_like()
         grads["E"][0, 0] = 1.0
         state = init_adam_state(params)
         optimizer_step(params, grads, state, TrainConfig(learning_rate=0.1))
@@ -298,49 +319,71 @@ class TestAdam:
             state = init_adam_state(params)
             cfg = TrainConfig(learning_rate=0.01)
             for _ in range(5):
-                grads = {k: rng.normal(size=v.shape) for k, v in params.tensors.items()}
-                optimizer_step(params, grads, state, cfg)
+                optimizer_step(params, random_grads(params, rng), state, cfg)
             return params
 
         a, b = run(), run()
         for name in a.tensors:
             assert np.array_equal(a[name], b[name])
 
-    def test_shape_validation(self):
-        params = init_params(3, 9, 0)
+    @pytest.mark.parametrize("d, V", [(1, 7), (3, 9), (32, 68)])
+    def test_bitwise_equal_to_per_tensor_updates(self, d, V):
+        rng = np.random.default_rng(d)
+        params = init_params(d, V, 1)
         state = init_adam_state(params)
-        grads = params.zeros_like()
-        grads["E"] = np.zeros((1, 1))
-        want = f"gradient for 'E' has shape (1, 1), want {params.tensors['E'].shape}"
+        want = {k: v.copy() for k, v in params.tensors.items()}
+        m = {k: np.zeros_like(v) for k, v in want.items()}
+        v = {k: np.zeros_like(a) for k, a in want.items()}
+        cfg = TrainConfig(learning_rate=0.01)
+        for step in range(1, 6):
+            grads = random_grads(params, rng, scale=10.0 ** rng.integers(-4, 3))
+            optimizer_step(params, grads, state, cfg)
+            per_tensor_adam(want, grads, m, v, step, cfg.learning_rate)
+        for name in want:
+            assert np.array_equal(params[name], want[name]), name
+            assert np.array_equal(state.m[name], m[name]), name
+            assert np.array_equal(state.v[name], v[name]), name
+
+    def test_shape_validation(self):
+        grads = init_params(3, 9, 0).zeros_like()
+        want = "tensor 'E': shape (9, 3), got shape (1, 1)"
         with pytest.raises(InvariantError, match=re.escape(want)):
-            optimizer_step(params, grads, state, TrainConfig())
-        incomplete = params.zeros_like()
-        del incomplete["W_o"]
-        want = f"gradient for 'W_o' has shape None, want {params.tensors['W_o'].shape}"
-        with pytest.raises(InvariantError, match=re.escape(want)):
-            optimizer_step(params, incomplete, state, TrainConfig())
+            grads["E"] = np.zeros((1, 1))
+        with pytest.raises(InvariantError, match="tensor 'W_o' cannot be deleted"):
+            del grads["W_o"]
+        assert grads["E"].shape == (9, 3) and "W_o" in grads
 
 
 class TestClipGradients:
     def test_below_threshold_untouched(self):
-        grads = {"x": np.array([3.0, 4.0])}
+        grads = zero_params(2, 7).zeros_like()
+        grads["b_z"] = np.array([3.0, 4.0])
         assert clip_gradients(grads, max_norm=5.0) == 5.0
-        assert np.array_equal(grads["x"], [3.0, 4.0])
+        assert np.array_equal(grads["b_z"], [3.0, 4.0])
 
     def test_above_threshold_scaled_to_max(self):
-        grads = {"x": np.array([6.0, 0.0]), "y": np.array([0.0, 8.0])}
+        grads = zero_params(2, 7).zeros_like()
+        grads["b_z"], grads["b_r"] = np.array([6.0, 0.0]), np.array([0.0, 8.0])
         norm = clip_gradients(grads, max_norm=5.0)
         assert norm == 10.0
-        assert_allclose(grads["x"], [3.0, 0.0], rtol=1e-15)
-        assert_allclose(grads["y"], [0.0, 4.0], rtol=1e-15)
+        assert_allclose(grads["b_z"], [3.0, 0.0], rtol=1e-15)
+        assert_allclose(grads["b_r"], [0.0, 4.0], rtol=1e-15)
 
     def test_direction_preserved(self):
         rng = np.random.default_rng(3)
         g = rng.normal(size=6) * 100
-        grads = {"x": g.copy()}
+        grads = zero_params(6, 7).zeros_like()
+        grads["b_z"] = g.copy()
         clip_gradients(grads, max_norm=1.0)
-        assert_allclose(grads["x"] / np.linalg.norm(grads["x"]), g / np.linalg.norm(g),
+        assert_allclose(grads["b_z"] / np.linalg.norm(grads["b_z"]), g / np.linalg.norm(g),
                         rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_norm_matches_per_tensor_norm(self, seed):
+        rng = np.random.default_rng(seed)
+        grads = random_grads(init_params(32, 68, seed), rng, scale=10.0 ** rng.integers(-6, 6))
+        want = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        assert_allclose(clip_gradients(grads, max_norm=math.inf), want, rtol=1e-15)
 
 
 class TestTrainingLoops:

@@ -3,7 +3,8 @@ position at a time: every matrix-vector product, outer product and gradient
 accumulation happens inside the token loop.
 
 compsum.model and compsum.training take the input projections, input
-gradients and weight gradients out of that loop.  The tests in
+gradients and weight gradients, the memory updates' weight gradients among
+them, out of that loop.  The tests in
 ``test_token_loop.py`` require them to reproduce the forward and decoding
 passes bit for bit, and the gradients to rtol 1e-12.
 """
@@ -23,7 +24,7 @@ from compsum.model import (
     _chunk_layout,
     softmax,
 )
-from compsum.training import Gradients, _memory_update_backward
+from compsum.training import Gradients
 
 
 def clipped_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -36,8 +37,11 @@ def cell(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One cell step; returns (h, z, r, h_cand)."""
     t = params.tensors
-    z = clipped_sigmoid(t["U_z"] @ h_prev + (t["W_z"] @ x + t["b_z"]))
-    r = clipped_sigmoid(t["U_r"] @ h_prev + (t["W_r"] @ x + t["b_r"]))
+    d = params.d
+    # U_z h and U_r h as one product of the stacked (2d, d) matrix
+    u_zr = np.concatenate([t["U_z"], t["U_r"]]) @ h_prev
+    z = clipped_sigmoid(u_zr[:d] + (t["W_z"] @ x + t["b_z"]))
+    r = clipped_sigmoid(u_zr[d:] + (t["W_r"] @ x + t["b_r"]))
     h_cand = np.tanh(t["U_h"] @ (r * h_prev) + (t["W_h"] @ x + t["b_h"]))
     h = h_prev + z * (h_cand - h_prev)
     return h, z, r, h_cand
@@ -56,6 +60,46 @@ def memory_update(
     gate = clipped_sigmoid(t["W_g"] @ np.concatenate([mem_prev, attended]) + t["b_g"])
     mem_new = (1.0 - gate) * mem_prev + gate * attended
     return q, ks, vs, alpha, attended, gate, mem_new
+
+
+def memory_update_backward(
+    params: ModelParams,
+    trace: ForwardTrace,
+    i: int,
+    d_new: np.ndarray,
+    grads: Gradients,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backprop the memory update that folds region i into the memory;
+    returns (d_mem_prev, d_hiddens) for the memory in effect in region i and
+    that region's hidden states."""
+    t = params.tensors
+    d = params.d
+    m = trace.memory
+    start, end = trace.region_spans[i]
+    mem_prev, attended, gate = m.mems[i], m.attended[i], m.gates[i]
+    alpha, ks, vs = m.alphas[start:end], m.ks[start:end], m.vs[start:end]
+    hiddens = trace.hs[start:end]
+    dg = d_new * (attended - mem_prev)
+    d_att = d_new * gate
+    d_mem_prev = d_new * (1.0 - gate)
+    dg_pre = dg * gate * (1.0 - gate)
+    grads["W_g"] += np.outer(dg_pre, np.concatenate([mem_prev, attended]))
+    grads["b_g"] += dg_pre
+    du = t["W_g"].T @ dg_pre
+    d_mem_prev += du[:d]
+    d_att = d_att + du[d:]
+    dalpha = vs @ d_att
+    dvs = np.outer(alpha, d_att)
+    dscores = alpha * (dalpha - alpha @ dalpha)
+    inv_sqrt_d = 1.0 / np.sqrt(d)
+    dq = (ks.T @ dscores) * inv_sqrt_d
+    dks = np.outer(dscores, m.qs[i]) * inv_sqrt_d
+    grads["W_q"] += np.outer(dq, mem_prev)
+    d_mem_prev += t["W_q"].T @ dq
+    grads["W_k"] += dks.T @ hiddens
+    grads["W_v"] += dvs.T @ hiddens
+    d_hiddens = dks @ t["W_k"] + dvs @ t["W_v"]
+    return d_mem_prev, d_hiddens
 
 
 def run_stream(
@@ -152,7 +196,7 @@ def backward_stream(
                 d_mem += dx
             dh_carry = dh_prev
         if memory_on and ri > 0:
-            d_mem, d_hiddens = _memory_update_backward(params, trace, ri - 1, d_mem, grads)
+            d_mem, d_hiddens = memory_update_backward(params, trace, ri - 1, d_mem, grads)
             us, ue = trace.region_spans[ri - 1]
             dhs[us:ue] += d_hiddens
 
