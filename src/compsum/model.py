@@ -76,7 +76,8 @@ class Tensors(UserDict):
         self.flat = np.zeros(ends[_LAYOUT[-1]]) if flat is None else flat
         self.data = {n: self.flat[starts[n] : ends[n]].reshape(shapes[n]) for n in TENSOR_NAMES}
         for stack, (first, last) in _STACKS.items():
-            setattr(self, stack, self.flat[starts[first] : ends[last]].reshape(-1, *shapes[first][1:]))
+            view = self.flat[starts[first] : ends[last]]
+            setattr(self, stack, view.reshape(-1, *shapes[first][1:]))
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
         view = self.data.get(name)
@@ -94,7 +95,7 @@ class Tensors(UserDict):
 
 @dataclass
 class ModelParams:
-    """All trainable tensors in one ``Tensors`` store (a mapping is copied in).
+    """All trainable tensors in one ``Tensors`` store.
 
     Shapes: E (V, d); gate matrices W_*/U_* (d, d) with biases (d,);
     attention projections W_q/W_k/W_v (d, d); memory gate W_g (d, 2d) with
@@ -103,12 +104,7 @@ class ModelParams:
 
     d: int
     V: int
-    tensors: Tensors = ()  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.tensors, Tensors):
-            given, self.tensors = self.tensors, Tensors(self.d, self.V)
-            self.tensors.update(given)
+    tensors: Tensors
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -140,7 +136,7 @@ def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
             "of physical memory"
         )
     try:
-        params = ModelParams(d, V)
+        params = ModelParams(d, V, Tensors(d, V))
     except ValueError:
         # numpy refuses sizes whose byte count overflows its index type
         raise MemoryError(f"model of d={d}, V={V} is too large to allocate") from None
@@ -584,45 +580,43 @@ def decode_each(
 # --- checkpoints -----------------------------------------------------------
 
 _MAGIC = b"CFG1"
-_VERSION = 3
+_VERSION = 4
 # magic, version, d, V, l_chunk, ablation bitmask, key_k
 _HEADER = struct.Struct("<4s6I")
-# each tensor record starts with its name's length, then the name
-_NAME_LEN = struct.Struct("<I")
 
 
-def _record_head(name: str) -> bytes:
-    raw = name.encode()
-    return _NAME_LEN.pack(len(raw)) + raw
+def _first_non_finite(store: Tensors) -> str | None:
+    """The first tensor, in TENSOR_NAMES order, holding a non-finite value."""
+    return next((name for name, tensor in store.items() if not np.isfinite(tensor).all()), None)
 
 
 def save_checkpoint(
     path: str, params: ModelParams, l_chunk: int, flags: AblationFlags, key_k: int = 2
 ) -> None:
-    """Binary checkpoint: fixed header, then named float64 row-major tensors.
+    """Binary checkpoint: fixed header, then the flat parameter vector.
 
     Header (``_HEADER``): magic 'CFG1', version, d, V, l_chunk, ablation
     bitmask (1 when ``disable_memory``, else 0), key_k (all little-endian
-    uint32 after the magic).  Each tensor, in TENSOR_NAMES order: its record
-    head (``_record_head``: name length, name bytes), then its little-endian
-    float64 values; ``tensor_shapes(d, V)`` fixes every shape.  Non-finite values raise ``InvariantError`` before
-    anything is written, since ``load_checkpoint`` would reject the file.
+    uint32 after the magic).  Then ``params.tensors.flat`` as little-endian
+    float64, the tensors in ``_LAYOUT`` order, each row-major with the shape
+    ``tensor_shapes(d, V)`` gives it.  Non-finite values raise
+    ``InvariantError`` before anything is written, since ``load_checkpoint``
+    would reject the file.
     """
+    bad = _first_non_finite(params.tensors)
+    if bad is not None:
+        raise InvariantError(
+            f"checkpoint {path!r} not written: tensor '{bad}' holds non-finite values"
+        )
     bits = int(flags.disable_memory)
-    parts = [_HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, bits, key_k)]
-    for name, tensor in params.tensors.items():
-        if not np.all(np.isfinite(tensor)):
-            raise InvariantError(
-                f"checkpoint {path!r} not written: tensor '{name}' holds non-finite values"
-            )
-        parts += (_record_head(name), tensor.astype("<f8").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    header = _HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, bits, key_k)
+    atomic_write_bytes(path, header + params.tensors.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags, int]:
-    """Read a checkpoint as (params, l_chunk, flags, key_k), validating
-    header, names, shapes, and finiteness; each size is checked against the
-    file before it is read or allocated."""
+    """Read a checkpoint as (params, l_chunk, flags, key_k), validating the
+    header, the file's length and finiteness; the length is checked against
+    the header's sizes before anything is allocated."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
@@ -636,26 +630,11 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags, int]:
         raise CheckpointError(path, f"unknown ablation bits in bitmask {bits}")
     if d < 1 or V < len(RESERVED_TOKENS) or l_chunk < 1:
         raise CheckpointError(path, f"bad header d={d} V={V} l_chunk={l_chunk}")
-    shapes = tensor_shapes(d, V)
-    tensors: dict[str, np.ndarray] = {}
-    off = _HEADER.size
-    for name in TENSOR_NAMES:
-        if off + _NAME_LEN.size > len(data):
-            raise CheckpointError(path, "truncated")
-        start = off + _NAME_LEN.size + _NAME_LEN.unpack_from(data, off)[0]
-        if start > len(data):
-            raise CheckpointError(path, "truncated")
-        if data[off:start] != _record_head(name):
-            found = data[off + _NAME_LEN.size : start]
-            raise CheckpointError(path, f"expected tensor '{name}', found {found!r}")
-        count = math.prod(shapes[name])
-        off = start + 8 * count
-        if off > len(data):
-            raise CheckpointError(path, "truncated")
-        tensor = np.frombuffer(data, "<f8", count, start)
-        if not np.all(np.isfinite(tensor)):
-            raise CheckpointError(path, f"tensor '{name}' contains non-finite values")
-        tensors[name] = tensor.reshape(shapes[name])
-    if off != len(data):
-        raise CheckpointError(path, "trailing bytes")
+    size = _HEADER.size + 8 * sum(math.prod(shape) for shape in tensor_shapes(d, V).values())
+    if len(data) != size:
+        raise CheckpointError(path, "truncated" if len(data) < size else "trailing bytes")
+    tensors = Tensors(d, V, np.frombuffer(data, "<f8", offset=_HEADER.size).astype(np.float64))
+    bad = _first_non_finite(tensors)
+    if bad is not None:
+        raise CheckpointError(path, f"tensor '{bad}' contains non-finite values")
     return ModelParams(d, V, tensors), l_chunk, AblationFlags(bool(bits)), key_k

@@ -325,23 +325,22 @@ def finite_difference_check(
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and > 0")
-    analytic = grad_fn(params)
-    entries = [(name, i) for name, tensor in params.tensors.items() for i in range(tensor.size)]
-    if max_entries is not None and max_entries < len(entries):
+    analytic = grad_fn(params).flat
+    flat = params.tensors.flat
+    entries: Sequence[int] = range(flat.size)
+    if max_entries is not None and max_entries < flat.size:
         rng = np.random.default_rng(seed)
-        picked = rng.choice(len(entries), size=max_entries, replace=False)
-        entries = [entries[int(i)] for i in picked]
+        entries = rng.choice(flat.size, size=max_entries, replace=False).tolist()
     worst = 0.0
-    for name, flat_idx in entries:
-        flat = params.tensors[name].reshape(-1)
-        saved = flat[flat_idx]
-        flat[flat_idx] = saved + eps
+    for i in entries:
+        saved = flat[i]
+        flat[i] = saved + eps
         up = loss_fn(params)
-        flat[flat_idx] = saved - eps
+        flat[i] = saved - eps
         down = loss_fn(params)
-        flat[flat_idx] = saved
+        flat[i] = saved
         numeric = (up - down) / (2.0 * eps)
-        a = float(analytic[name].reshape(-1)[flat_idx])
+        a = float(analytic[i])
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         if not math.isfinite(err):
             return err

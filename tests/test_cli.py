@@ -358,6 +358,19 @@ class TestSubcommands:
         assert code == 2
         assert err == f"error: checkpoint '{path}': unsupported checkpoint version 2\n"
 
+    def test_version_3_checkpoint_rejected(self, workspace):
+        # version 3: the same header, then one record per tensor in
+        # TENSOR_NAMES order: name length, name, float64 values
+        params, l_chunk, flags, key_k = load_checkpoint(workspace[1]["ckpt"])
+        parts = [struct.pack("<4s6I", b"CFG1", 3, params.d, params.V, l_chunk,
+                             int(flags.disable_memory), key_k)]
+        for name, tensor in params.tensors.items():
+            parts += (struct.pack("<I", len(name)), name.encode(), tensor.astype("<f8").tobytes())
+        v3 = b"".join(parts)
+        code, err, path = self._evaluate_with_checkpoint(workspace, "v3.ckpt", v3)
+        assert code == 2
+        assert err == f"error: checkpoint '{path}': unsupported checkpoint version 3\n"
+
     @pytest.mark.parametrize("command", ["evaluate", "generate"])
     def test_context_layout_comes_from_the_checkpoint(self, workspace, command):
         # the workspace checkpoint was trained at the default key_k and l_chunk

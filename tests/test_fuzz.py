@@ -15,6 +15,7 @@ The examples are derandomized, so every run tries the same inputs.
 import io
 import math
 import struct
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 import warnings
@@ -35,6 +36,7 @@ from compsum.corpus import (
     write_dataset,
 )
 from compsum.model import (
+    _LAYOUT,
     TENSOR_NAMES,
     AblationFlags,
     init_params,
@@ -162,15 +164,18 @@ def test_vocabulary_load(valid_files, work_dir, mutated):
     loads_or_refuses(Vocabulary.load, work_dir, data)
 
 
-def _u32_offsets(d: int, V: int) -> list[int]:
-    """Offsets of the header's uint32 values and of every tensor's name length."""
-    offsets = [4, 8, 12, 16, 20, 24]
-    at = 28
+# The header's uint32 values: version, d, V, l_chunk, ablation bitmask, key_k.
+HEADER_U32_OFFSETS = (4, 8, 12, 16, 20, 24)
+# Values for one float64: the non-finite ones and the largest finite one.
+F64_EDGES = (math.nan, math.inf, -math.inf, sys.float_info.max)
+
+
+def _tensor_offsets(d: int, V: int) -> list[int]:
+    """Offset of every tensor's first float64: after the 28-byte header and
+    the tensors before it in ``_LAYOUT`` order."""
     shapes = tensor_shapes(d, V)
-    for name in TENSOR_NAMES:
-        offsets.append(at)
-        at += 4 + len(name) + 8 * math.prod(shapes[name])
-    return offsets
+    sizes = [math.prod(shapes[name]) for name in _LAYOUT]
+    return [28 + 8 * sum(sizes[:i]) for i in range(len(sizes))]
 
 
 @FUZZ
@@ -179,14 +184,18 @@ def test_load_checkpoint(valid_files, work_dir, mutated):
     root, _ = valid_files
     valid = (root / "model.ckpt").read_bytes()
 
-    def overwrite(spot):
-        offset, value = spot
-        return valid[:offset] + struct.pack("<I", value) + valid[offset + 4:]
+    def overwrite(offsets, fmt, values):
+        def at(spot):
+            offset, value = spot
+            raw = struct.pack(fmt, value)
+            return valid[:offset] + raw + valid[offset + len(raw):]
+        return st.tuples(offsets, values).map(at)
 
     data = mutated.draw(st.one_of(
         mutations(valid),
-        st.tuples(st.sampled_from(_u32_offsets(2, 9)), st.sampled_from(U32_EDGES)).map(overwrite),
-        st.tuples(st.just(20), st.integers(0, 2**32 - 1)).map(overwrite),  # ablation bitmask
+        overwrite(st.sampled_from(HEADER_U32_OFFSETS), "<I", st.sampled_from(U32_EDGES)),
+        overwrite(st.just(20), "<I", st.integers(0, 2**32 - 1)),  # ablation bitmask
+        overwrite(st.sampled_from(_tensor_offsets(2, 9)), "<d", st.sampled_from(F64_EDGES)),
     ))
     loaded = loads_or_refuses(load_checkpoint, work_dir, data)
     if loaded is not None:

@@ -17,7 +17,9 @@ from compsum.model import (
     AblationFlags,
     TENSOR_NAMES,
     ModelParams,
+    Tensors,
     _GatedCell,
+    _LAYOUT,
     decode_each,
     encode_sequence,
     forward,
@@ -42,8 +44,7 @@ def cell_step(params, h_prev, x):
 
 
 def zero_params(d, V):
-    shapes = tensor_shapes(d, V)
-    return ModelParams(d, V, {k: np.zeros(s) for k, s in shapes.items()})
+    return ModelParams(d, V, Tensors(d, V))
 
 
 def cell_params_d2():
@@ -239,12 +240,6 @@ class TestStorage:
         assert t["W_q"] is view
         assert np.array_equal(view, np.arange(9.0).reshape(3, 3))
         assert np.shares_memory(view, t.flat)
-
-    def test_plain_mapping_is_copied_in(self):
-        given = {name: np.full(shape, 0.5) for name, shape in tensor_shapes(2, 7).items()}
-        params = ModelParams(2, 7, given)
-        given["E"][0, 0] = 1.0
-        assert np.all(params.tensors.flat == 0.5)
 
     def test_refuses_wrong_shape_unknown_name_and_deletion(self):
         t = init_params(3, 9, 0).tensors
@@ -489,7 +484,7 @@ class TestCheckpoint:
         self._corrupt(tmp_path, lambda d: b"XXXX" + d[4:])
 
     def test_bad_version(self, tmp_path):
-        for version in (1, 2, 99):
+        for version in (1, 2, 3, 99):
             def mutate(d):
                 d[4:8] = struct.pack("<I", version)
                 return d
@@ -536,21 +531,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing bytes$"):
             load_checkpoint(str(path))
 
-    def test_tensor_name_mismatch(self, tmp_path):
-        def mutate(d):
-            # first tensor name is a single byte at offset 32 ('E')
-            assert d[32:33] == b"E"
-            d[32] = ord("X")
-            return d
-        self._corrupt(tmp_path, mutate)
+    @staticmethod
+    def _offset(name, d, V):
+        """Where tensor ``name`` starts in a (d, V) checkpoint: after the
+        header and the tensors before it in ``_LAYOUT``."""
+        shapes = tensor_shapes(d, V)
+        return 28 + 8 * sum(math.prod(shapes[n]) for n in _LAYOUT[: _LAYOUT.index(name)])
 
-    def test_non_finite_tensor_rejected(self, tmp_path):
+    def test_layout_is_the_header_then_the_flat_vector(self, tmp_path):
+        path, params = self._save(tmp_path)
+        data = open(path, "rb").read()
+        assert struct.unpack_from("<4sI", data) == (b"CFG1", 4)
+        assert data[28:] == params.tensors.flat.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("name", TENSOR_NAMES)
+    def test_non_finite_tensor_rejected(self, tmp_path, name):
         def mutate(d):
-            # name length 3, 'W_o', then its first value
-            at = bytes(d).index(struct.pack("<I", 3) + b"W_o") + 7
+            at = self._offset(name, 4, 11)
             d[at : at + 8] = struct.pack("<d", np.inf)
             return d
-        self._corrupt(tmp_path, mutate)
+        self._corrupt(tmp_path, mutate, f"tensor '{name}' contains non-finite values$")
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_tensor_not_saved(self, tmp_path, value):
@@ -564,3 +564,12 @@ class TestCheckpoint:
         with pytest.raises(InvariantError, match="tensor 'W_o' holds non-finite values"):
             save_checkpoint(str(fresh), params, 5, AblationFlags())
         assert not fresh.exists()
+
+    @pytest.mark.parametrize("name", TENSOR_NAMES)
+    def test_each_non_finite_tensor_named_on_save(self, tmp_path, name):
+        params = init_params(4, 11, 6)
+        params[name].reshape(-1)[-1] = np.nan
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(InvariantError, match=f"tensor '{name}' holds non-finite values"):
+            save_checkpoint(str(path), params, 5, AblationFlags())
+        assert not path.exists()

@@ -90,3 +90,14 @@ def test_every_private_name_is_used():
         if defined.startswith("_") and not defined.startswith("__") and defined not in read
     ]
     assert not unused
+
+
+def test_no_line_over_100_characters():
+    # Lines packed past the width would count as cuts in the line budget.
+    long = [
+        f"{path.name}:{number}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert not long

@@ -231,8 +231,8 @@ class TestFiniteDifference:
             return float(0.5 * (p.tensors["E"] ** 2).sum()) + loss_offset
 
         def grad_fn(p):
-            grads = {k: np.zeros_like(v) for k, v in p.tensors.items()}
-            grads["E"] = p.tensors["E"].copy()
+            grads = p.zeros_like()
+            grads["E"] = p.tensors["E"]
             if bad_grad is not None:
                 grads["E"][0, 0] = bad_grad
             return grads
