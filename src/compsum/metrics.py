@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .corpus import EOS, SENTENCE_DELIMITER, Vocabulary, chunk
 from .errors import DataError
 from .ioutil import write_lines
-from .model import AblationFlags, ModelParams, decode_each, model_context
+from .model import AblationFlags, Tensors, decode_each, model_context
 from .training import TrainConfig
 
 # Fixed lexicon of comparative connectives used by the G-Score density term.
@@ -205,7 +205,7 @@ def write_report(path: str, report: EvalReport) -> None:
 
 
 def evaluate_dataset(
-    params: ModelParams,
+    params: Tensors,
     dataset: Sequence,
     vocab: Vocabulary,
     l_chunk: int,

@@ -62,9 +62,15 @@ _STACKS = {"W_zrh": ("W_z", "W_h"), "U_zr": ("U_z", "U_r"), "b_zrh": ("b_z", "b_
 
 
 class Tensors(UserDict):
-    """The tensors of a (d, V) model, keyed in TENSOR_NAMES order, as views
-    into one float64 vector ``flat`` in ``_LAYOUT`` order; so are the stacks
-    ``W_zrh`` (3d, d), ``U_zr`` (2d, d), ``b_zrh`` (3d,) and ``W_kv`` (2d, d).
+    """A (d, V) model: every trainable tensor, keyed in TENSOR_NAMES order, as
+    views into one float64 vector ``flat`` in ``_LAYOUT`` order; so are the
+    stacks ``W_zrh`` (3d, d), ``U_zr`` (2d, d), ``b_zrh`` (3d,) and ``W_kv``
+    (2d, d).  Gradients and Adam moments are such stores too.
+
+    Shapes: E (V, d); gate matrices W_*/U_* (d, d) with biases (d,);
+    attention projections W_q/W_k/W_v (d, d); memory gate W_g (d, 2d) with
+    b_g (d,); output head W_o (V, d) with b_o (V,).
+
     Assigning a name copies into its view, so ``grads[name] += x`` adds in
     place; a wrong shape, an unknown name or a deletion raises InvariantError."""
 
@@ -92,31 +98,16 @@ class Tensors(UserDict):
     def copy(self) -> "Tensors":
         return Tensors(self.d, self.V, self.flat.copy())
 
-
-@dataclass
-class ModelParams:
-    """All trainable tensors in one ``Tensors`` store.
-
-    Shapes: E (V, d); gate matrices W_*/U_* (d, d) with biases (d,);
-    attention projections W_q/W_k/W_v (d, d); memory gate W_g (d, 2d) with
-    b_g (d,); output head W_o (V, d) with b_o (V,).
-    """
-
-    d: int
-    V: int
-    tensors: Tensors
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.d, self.V, self.tensors.copy())
-
-    def zeros_like(self) -> Tensors:
+    def zeros_like(self) -> "Tensors":
         return Tensors(self.d, self.V)
 
+    @property
+    def tensors(self) -> "Tensors":
+        """The store itself, for ``bench/``, which reads ``params.tensors``."""
+        return self
 
-def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
+
+def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> Tensors:
     """Uniform(-scale, scale) init, tensors drawn in TENSOR_NAMES order.
     ``V`` must cover the reserved tokens, as ``load_checkpoint`` requires."""
     if d < 1 or V < len(RESERVED_TOKENS):
@@ -136,12 +127,12 @@ def init_params(d: int, V: int, seed: int, scale: float = 0.08) -> ModelParams:
             "of physical memory"
         )
     try:
-        params = ModelParams(d, V, Tensors(d, V))
+        params = Tensors(d, V)
     except ValueError:
         # numpy refuses sizes whose byte count overflows its index type
         raise MemoryError(f"model of d={d}, V={V} is too large to allocate") from None
     rng = np.random.default_rng(seed)
-    params.tensors.update((n, rng.uniform(-scale, scale, shapes[n])) for n in TENSOR_NAMES)
+    params.update((n, rng.uniform(-scale, scale, shapes[n])) for n in TENSOR_NAMES)
     return params
 
 
@@ -179,10 +170,10 @@ class _GatedCell:
     multiple of 4, but alike for one row and for each row of a batch.
     """
 
-    def __init__(self, params: ModelParams):
-        t, self.d = params.tensors, params.d
-        self.W, self.b = t.W_zrh.reshape(3, self.d, self.d), t.b_zrh
-        self.U_zr, self.U_h = t.U_zr, t["U_h"]
+    def __init__(self, params: Tensors):
+        self.d = params.d
+        self.W, self.b = params.W_zrh.reshape(3, self.d, self.d), params.b_zrh
+        self.U_zr, self.U_h = params.U_zr, params["U_h"]
 
     def project(self, xs: np.ndarray) -> np.ndarray:
         """Rows [W_z x + b_z; W_r x + b_r; W_h x + b_h] (n, 3d) for the rows x of xs (n, d)."""
@@ -207,9 +198,7 @@ class _GatedCell:
         h += h_prev
 
 
-def memory_update(
-    params: ModelParams, mem_prev: np.ndarray, hiddens: np.ndarray
-) -> np.ndarray:
+def memory_update(params: Tensors, mem_prev: np.ndarray, hiddens: np.ndarray) -> np.ndarray:
     """Fold a completed region's hidden states (m, d) into the memory.
 
     q = W_q mem_prev; k_j = W_k h_j; v_j = W_v h_j;
@@ -221,9 +210,7 @@ def memory_update(
     return _attend(params, mem_prev, hiddens)[-1]
 
 
-def _attend(
-    params: ModelParams, mem_prev: np.ndarray, hiddens: np.ndarray
-) -> tuple[np.ndarray, ...]:
+def _attend(params: Tensors, mem_prev: np.ndarray, hiddens: np.ndarray) -> tuple[np.ndarray, ...]:
     """The memory update's (q, ks, vs, alpha, attended, gate, mem_new) for one
     memory (d,) and region (m, d), or for a batch (B, d) of memories and
     regions (B, m, d) of one length m.
@@ -231,14 +218,13 @@ def _attend(
     Products of a vector take the per-row form, which rounds like ``M @ v``;
     the region products are one GEMM per region in either shape.
     """
-    t = params.tensors
-    q = np.matmul(t["W_q"], mem_prev[..., None])[..., 0]
-    ks = hiddens @ t["W_k"].T
-    vs = hiddens @ t["W_v"].T
+    q = np.matmul(params["W_q"], mem_prev[..., None])[..., 0]
+    ks = hiddens @ params["W_k"].T
+    vs = hiddens @ params["W_v"].T
     alpha = softmax(np.matmul(ks, q[..., None])[..., 0] / np.sqrt(params.d))
     attended = np.matmul(alpha[..., None, :], vs)[..., 0, :]
     both = np.concatenate([mem_prev, attended], axis=-1)
-    gate = sigmoid(np.matmul(t["W_g"], both[..., None])[..., 0] + t["b_g"])
+    gate = sigmoid(np.matmul(params["W_g"], both[..., None])[..., 0] + params["b_g"])
     mem_new = (1.0 - gate) * mem_prev + gate * attended
     return q, ks, vs, alpha, attended, gate, mem_new
 
@@ -293,7 +279,7 @@ def _check_token_ids(ids: np.ndarray, V: int) -> None:
 
 
 def _run_stream(
-    params: ModelParams,
+    params: Tensors,
     input_ids: Sequence[int],
     region_spans: Sequence[tuple[int, int]],
     memory_on: bool,
@@ -309,9 +295,8 @@ def _run_stream(
     S, d = len(input_ids), params.d
     ids = np.asarray(input_ids)
     _check_token_ids(ids, params.V)
-    t = params.tensors
     cell = _GatedCell(params)
-    xs = t["E"][ids]
+    xs = params["E"][ids]
     hs, zrs, h_cands = np.empty((S, d)), np.empty((S, 2 * d)), np.empty((S, d))
     memory = None
     if memory_on:
@@ -332,7 +317,7 @@ def _run_stream(
         if memory_on and end < S:
             (m.qs[i], m.ks[start:end], m.vs[start:end], m.alphas[start:end], m.attended[i],
              m.gates[i], m.mems[i + 1]) = _attend(params, m.mems[i], hs[start:end])
-    logits = hs[logits_start:] @ t["W_o"].T + t["b_o"][None, :]
+    logits = hs[logits_start:] @ params["W_o"].T + params["b_o"][None, :]
     return ForwardTrace(
         list(input_ids), list(region_spans), xs, hs, zrs[:, :d], zrs[:, d:], h_cands,
         memory, logits, logits_start,
@@ -369,7 +354,7 @@ def _teacher_forced_layout(
 
 
 def forward(
-    params: ModelParams,
+    params: Tensors,
     context_chunks: Sequence[Chunk],
     target: Sequence[int],
     flags: AblationFlags = AblationFlags(),
@@ -387,7 +372,7 @@ def forward(
     return _run_stream(params, stream, spans, memory_on, logits_start)
 
 
-def encode_sequence(params: ModelParams, tokens: Sequence[int]) -> np.ndarray:
+def encode_sequence(params: Tensors, tokens: Sequence[int]) -> np.ndarray:
     """Mean of hidden states over a single-region pass with memory off.
 
     Used to embed candidate and reference summaries for the similarity loss.
@@ -395,9 +380,7 @@ def encode_sequence(params: ModelParams, tokens: Sequence[int]) -> np.ndarray:
     return _encode_traced(params, tokens)[1]
 
 
-def _encode_traced(
-    params: ModelParams, tokens: Sequence[int]
-) -> tuple[ForwardTrace, np.ndarray]:
+def _encode_traced(params: Tensors, tokens: Sequence[int]) -> tuple[ForwardTrace, np.ndarray]:
     if len(tokens) == 0:
         raise InvariantError("cannot encode an empty sequence")
     trace = _run_stream(params, tokens, [(0, len(tokens))], False, len(tokens))
@@ -417,7 +400,7 @@ PREFILL_BLOCK = 32
 
 
 def prefill(
-    params: ModelParams,
+    params: Tensors,
     contexts: Sequence[Sequence[Chunk]],
     flags: AblationFlags = AblationFlags(),
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -444,7 +427,6 @@ def prefill(
         for start, end in spans:
             ends.setdefault(end - 1, {}).setdefault(end - start, []).append(row)
     _check_token_ids(ids, params.V)
-    t = params.tensors
     cell = _GatedCell(params)
     h, mem = np.zeros((B, d)), np.zeros((B, d))
     h_next, zr, h_cand = np.empty((B, d)), np.empty((B, 2 * d)), np.empty((B, d))
@@ -456,7 +438,7 @@ def prefill(
     for p in range(ids.shape[1]):
         while lengths[n - 1] <= p:
             n -= 1
-        x = t["E"][ids[:n, p]]
+        x = params["E"][ids[:n, p]]
         if memory_on:
             x += mem[:n]
         # Copied back, not swapped: rows that have finished keep their state.
@@ -471,7 +453,7 @@ def prefill(
 
 
 def _decode(
-    params: ModelParams,
+    params: Tensors,
     context_chunks: Sequence[Chunk],
     max_len: int,
     flags: AblationFlags,
@@ -488,13 +470,12 @@ def _decode(
     h, mem = prefill(params, [context_chunks], flags)[0] if start is None else start
     if h.shape != (params.d,) or mem.shape != (params.d,):
         raise InvariantError(f"decoding start must be two ({params.d},) vectors")
-    t = params.tensors
     cell = _GatedCell(params)
     h, h_next = h.copy(), np.empty(params.d)  # the buffer swaps must not write into start
     zr, h_cand = np.empty(2 * params.d), np.empty(params.d)
     out: list[int] = []
     while len(out) < max_len:
-        logits = t["W_o"] @ h + t["b_o"]
+        logits = params["W_o"] @ h + params["b_o"]
         logits[PAD] = logits[BOS] = -np.inf
         tok = pick(logits)
         if tok is None:
@@ -502,7 +483,7 @@ def _decode(
         if tok == EOS:
             break
         out.append(tok)
-        x = t["E"][tok] + mem if memory_on else t["E"][tok]
+        x = params["E"][tok] + mem if memory_on else params["E"][tok]
         cell.step(h, cell.project(x[None])[0], h_next, zr, h_cand)
         h, h_next = h_next, h
     return out
@@ -516,7 +497,7 @@ def _argmax_pick(logits: np.ndarray) -> int | None:
 
 
 def greedy_decode(
-    params: ModelParams,
+    params: Tensors,
     context_chunks: Sequence[Chunk],
     max_len: int,
     flags: AblationFlags = AblationFlags(),
@@ -550,7 +531,7 @@ def _sampler(V: int, temperature: float, seed: int) -> Callable[[np.ndarray], in
 
 
 def decode_each(
-    params: ModelParams,
+    params: Tensors,
     contexts: Iterable[tuple[str, Sequence[Chunk]]],
     max_len: int,
     flags: AblationFlags = AblationFlags(),
@@ -591,29 +572,29 @@ def _first_non_finite(store: Tensors) -> str | None:
 
 
 def save_checkpoint(
-    path: str, params: ModelParams, l_chunk: int, flags: AblationFlags, key_k: int = 2
+    path: str, params: Tensors, l_chunk: int, flags: AblationFlags, key_k: int = 2
 ) -> None:
     """Binary checkpoint: fixed header, then the flat parameter vector.
 
     Header (``_HEADER``): magic 'CFG1', version, d, V, l_chunk, ablation
     bitmask (1 when ``disable_memory``, else 0), key_k (all little-endian
-    uint32 after the magic).  Then ``params.tensors.flat`` as little-endian
+    uint32 after the magic).  Then ``params.flat`` as little-endian
     float64, the tensors in ``_LAYOUT`` order, each row-major with the shape
     ``tensor_shapes(d, V)`` gives it.  Non-finite values raise
     ``InvariantError`` before anything is written, since ``load_checkpoint``
     would reject the file.
     """
-    bad = _first_non_finite(params.tensors)
+    bad = _first_non_finite(params)
     if bad is not None:
         raise InvariantError(
             f"checkpoint {path!r} not written: tensor '{bad}' holds non-finite values"
         )
     bits = int(flags.disable_memory)
     header = _HEADER.pack(_MAGIC, _VERSION, params.d, params.V, l_chunk, bits, key_k)
-    atomic_write_bytes(path, header + params.tensors.flat.astype("<f8").tobytes())
+    atomic_write_bytes(path, header + params.flat.astype("<f8").tobytes())
 
 
-def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags, int]:
+def load_checkpoint(path: str) -> tuple[Tensors, int, AblationFlags, int]:
     """Read a checkpoint as (params, l_chunk, flags, key_k), validating the
     header, the file's length and finiteness; the length is checked against
     the header's sizes before anything is allocated."""
@@ -633,8 +614,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, int, AblationFlags, int]:
     size = _HEADER.size + 8 * sum(math.prod(shape) for shape in tensor_shapes(d, V).values())
     if len(data) != size:
         raise CheckpointError(path, "truncated" if len(data) < size else "trailing bytes")
-    tensors = Tensors(d, V, np.frombuffer(data, "<f8", offset=_HEADER.size).astype(np.float64))
-    bad = _first_non_finite(tensors)
+    params = Tensors(d, V, np.frombuffer(data, "<f8", offset=_HEADER.size).astype(np.float64))
+    bad = _first_non_finite(params)
     if bad is not None:
         raise CheckpointError(path, f"tensor '{bad}' contains non-finite values")
-    return ModelParams(d, V, tensors), l_chunk, AblationFlags(bool(bits)), key_k
+    return params, l_chunk, AblationFlags(bool(bits)), key_k

@@ -30,7 +30,6 @@ from .corpus import PAD, PaperSet, Vocabulary, chunk
 from .errors import DataError, InvariantError
 from .model import (
     ForwardTrace,
-    ModelParams,
     Tensors,
     _chunk_layout,
     _encode_traced,
@@ -150,7 +149,7 @@ class LossSpec:
     ref_tokens: Sequence[int] | None = None
 
 
-def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
+def _check_trace(trace: ForwardTrace, params: Tensors) -> None:
     if trace.hs.shape[1] != params.d or trace.logits.shape[1] != params.V:
         raise InvariantError(
             f"trace built for d={trace.hs.shape[1]}, V={trace.logits.shape[1]}; "
@@ -159,7 +158,7 @@ def _check_trace(trace: ForwardTrace, params: ModelParams) -> None:
 
 
 def _backward_stream(
-    params: ModelParams,
+    params: Tensors,
     trace: ForwardTrace,
     grads: Gradients,
     dlogits: np.ndarray | None = None,
@@ -176,7 +175,6 @@ def _backward_stream(
     rows.  The input gradients and every weight gradient take one matrix
     product per stream (Appleyard et al., arXiv:1604.01946).
     """
-    t = params.tensors
     d = params.d
     S = len(trace.input_ids)
     dhs = np.zeros((S, d))
@@ -186,7 +184,7 @@ def _backward_stream(
         start = trace.logits_start
         grads["W_o"] += dlogits.T @ trace.hs[start:]
         grads["b_o"] += dlogits.sum(axis=0)
-        dhs[start:] += dlogits @ t["W_o"]
+        dhs[start:] += dlogits @ params["W_o"]
     m = trace.memory
     # Without the memory no gradient crosses a region boundary other than
     # along the chain, so the whole stream is one region.
@@ -194,7 +192,7 @@ def _backward_stream(
     zs, rs, h_cands = trace.zs, trace.rs, trace.h_cands
     h_prevs = np.zeros((S, d))
     h_prevs[1:] = trace.hs[:-1]
-    U_h_T, U_zr_T = t["U_h"].T, t.U_zr.T
+    U_h_T, U_zr_T = params["U_h"].T, params.U_zr.T
     # Rows [da_z | da_r | da_h] start as the chain rule's factors that depend
     # on the forward pass alone, [C_z | C_r | A_h], and the sweep multiplies
     # them in place: a_h = dh * A_h, a_z = dh * C_z, a_r = (U_h^T a_h) * C_r.
@@ -211,7 +209,7 @@ def _backward_stream(
         dg_pre = (m.attended - m.mems[:-1]) * m.gates * keep
         dq, dkv = np.empty_like(dg_pre), np.empty((n, 2 * d))
         scaled_ks, scaled_qs = m.ks / np.sqrt(d), m.qs / np.sqrt(d)
-        W_g_T, W_q_T = t["W_g"].T, t["W_q"].T
+        W_g_T, W_q_T = params["W_g"].T, params["W_q"].T
     d_mem = np.zeros(d)
     carry = np.zeros(d)
     for ri in range(len(spans) - 1, -1, -1):
@@ -229,7 +227,7 @@ def _backward_stream(
         # Back through update i, which folded region i into the memory.
         i = ri - 1
         s, e = spans[i]
-        d_mem += da[start:end].sum(axis=0) @ t.W_zrh
+        d_mem += da[start:end].sum(axis=0) @ params.W_zrh
         dg_pre[i] *= d_mem
         du = W_g_T @ dg_pre[i]
         d_att = d_mem * m.gates[i] + du[d:]
@@ -240,8 +238,8 @@ def _backward_stream(
         np.multiply.outer(dscores, scaled_qs[i], out=dkv[s:e, :d])
         np.multiply.outer(alpha, d_att, out=dkv[s:e, d:])
         d_mem = d_mem * keep[i] + du[:d] + W_q_T @ dq[i]
-        dhs[s:e] += dkv[s:e] @ t.W_kv
-    np.add.at(grads["E"], trace.input_ids, da @ t.W_zrh)
+        dhs[s:e] += dkv[s:e] @ params.W_kv
+    np.add.at(grads["E"], trace.input_ids, da @ params.W_zrh)
     grads.W_zrh += da.T @ trace.xs
     grads.U_zr += da_zr.T @ h_prevs
     grads["U_h"] += da_h.T @ (rs * h_prevs)
@@ -254,7 +252,7 @@ def _backward_stream(
 
 
 def _loss_terms(
-    trace: ForwardTrace, params: ModelParams, spec: LossSpec
+    trace: ForwardTrace, params: Tensors, spec: LossSpec
 ) -> tuple[float, float, list[tuple]]:
     """(l_gen, l_comp, seeds) from forward passes only: the unweighted value
     of each loss term (0.0 for a term the spec leaves out) and, for each
@@ -283,7 +281,7 @@ def _loss_terms(
 
 
 def _losses_and_grads(
-    trace: ForwardTrace, params: ModelParams, loss_spec: LossSpec
+    trace: ForwardTrace, params: Tensors, loss_spec: LossSpec
 ) -> tuple[float, float, Gradients]:
     """(l_gen, l_comp, gradients): the loss terms of ``_loss_terms`` and the
     exact gradients of the spec's scalar loss, one backward sweep per seed."""
@@ -294,7 +292,7 @@ def _losses_and_grads(
     return l_gen, l_comp, grads
 
 
-def backward(trace: ForwardTrace, params: ModelParams, loss_spec: LossSpec) -> Gradients:
+def backward(trace: ForwardTrace, params: Tensors, loss_spec: LossSpec) -> Gradients:
     """Exact gradients of the selected scalar loss for every parameter tensor.
 
     The generation term is differentiated through the given trace, including
@@ -308,9 +306,9 @@ def backward(trace: ForwardTrace, params: ModelParams, loss_spec: LossSpec) -> G
 
 
 def finite_difference_check(
-    params: ModelParams,
-    loss_fn: Callable[[ModelParams], float],
-    grad_fn: Callable[[ModelParams], Gradients],
+    params: Tensors,
+    loss_fn: Callable[[Tensors], float],
+    grad_fn: Callable[[Tensors], Gradients],
     eps: float = 1e-5,
     max_entries: int | None = None,
     seed: int = 0,
@@ -326,7 +324,7 @@ def finite_difference_check(
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and > 0")
     analytic = grad_fn(params).flat
-    flat = params.tensors.flat
+    flat = params.flat
     entries: Sequence[int] = range(flat.size)
     if max_entries is not None and max_entries < flat.size:
         rng = np.random.default_rng(seed)
@@ -353,18 +351,18 @@ class GradcheckProbe:
     """A fixed random model and example for verifying the backward pass;
     ``loss`` and ``grads`` both read the example's terms from ``spec``."""
 
-    params: ModelParams
+    params: Tensors
     context_chunks: list
     spec: LossSpec
 
-    def loss(self, params: ModelParams) -> float:
+    def loss(self, params: Tensors) -> float:
         # Forward passes only: this is the function whose finite differences
         # the gradients are checked against.
         trace = forward(params, self.context_chunks, self.spec.targets)
         l_gen, l_comp, _ = _loss_terms(trace, params, self.spec)
         return stage_loss(l_gen, l_comp, self.spec.lam)
 
-    def grads(self, params: ModelParams) -> Gradients:
+    def grads(self, params: Tensors) -> Gradients:
         return backward(forward(params, self.context_chunks, self.spec.targets), params, self.spec)
 
 
@@ -403,7 +401,7 @@ class AdamState:
     v: Gradients
 
 
-def init_adam_state(params: ModelParams) -> AdamState:
+def init_adam_state(params: Tensors) -> AdamState:
     return AdamState(0, params.zeros_like(), params.zeros_like())
 
 
@@ -419,7 +417,7 @@ def clip_gradients(grads: Gradients, max_norm: float) -> float:
 
 
 def optimizer_step(
-    params: ModelParams, grads: Gradients, opt_state: AdamState, config: "TrainConfig"
+    params: Tensors, grads: Gradients, opt_state: AdamState, config: "TrainConfig"
 ) -> None:
     """One Adam update at ``config.learning_rate`` in place, over the flat
     vectors of all tensors at once; increments the step counter by 1."""
@@ -430,7 +428,7 @@ def optimizer_step(
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * (g * g)
-    params.tensors.flat -= config.learning_rate * (m / (1.0 - b1**opt_state.step)) / (
+    params.flat -= config.learning_rate * (m / (1.0 - b1**opt_state.step)) / (
         np.sqrt(v / (1.0 - b2**opt_state.step)) + ADAM_EPS
     )
 
@@ -479,12 +477,12 @@ Example = tuple[list[int], list[tuple[int, int]], int, LossSpec]
 
 
 def _train(
-    params: ModelParams,
+    params: Tensors,
     examples: Sequence[Example],
     config: TrainConfig,
     stage: str,
     log_fn: LogFn | None,
-) -> ModelParams:
+) -> Tensors:
     """Train ``params`` in place on the examples, one clipped Adam step per
     example, reshuffled each epoch from the config seed; both stages run
     here and differ only in their examples' loss specs."""
@@ -514,9 +512,9 @@ def train_pretrain(
     corpus: Sequence[PaperSet],
     config: TrainConfig,
     vocab: Vocabulary,
-    init: ModelParams | None = None,
+    init: Tensors | None = None,
     log_fn: LogFn | None = None,
-) -> ModelParams:
+) -> Tensors:
     """Stage one: next-token MLE over each flattened context+summary stream.
 
     epochs=0 returns the (seeded or given) initialization unchanged.
@@ -534,11 +532,11 @@ def train_pretrain(
 
 def train_comparative(
     dataset: Sequence[PaperSet],
-    init: ModelParams,
+    init: Tensors,
     config: TrainConfig,
     vocab: Vocabulary,
     log_fn: LogFn | None = None,
-) -> ModelParams:
+) -> Tensors:
     """Stage two: teacher-forced summary cross-entropy plus the contrastive
     term at weight ``config.lam``; a weight of zero makes the run exactly MLE
     fine-tuning.  Raises DataError for an example with no non-empty

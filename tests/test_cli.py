@@ -364,7 +364,7 @@ class TestSubcommands:
         params, l_chunk, flags, key_k = load_checkpoint(workspace[1]["ckpt"])
         parts = [struct.pack("<4s6I", b"CFG1", 3, params.d, params.V, l_chunk,
                              int(flags.disable_memory), key_k)]
-        for name, tensor in params.tensors.items():
+        for name, tensor in params.items():
             parts += (struct.pack("<I", len(name)), name.encode(), tensor.astype("<f8").tobytes())
         v3 = b"".join(parts)
         code, err, path = self._evaluate_with_checkpoint(workspace, "v3.ckpt", v3)
@@ -422,8 +422,8 @@ class TestSubcommands:
         # the sum of d = 8 values of 1e308.
         root, paths = workspace
         params, l_chunk, flags, key_k = load_checkpoint(paths["ckpt"])
-        params.tensors["b_z"][:] = params.tensors["b_h"][:] = 1e3
-        params.tensors["W_o"][10] = 1e308
+        params["b_z"][:] = params["b_h"][:] = 1e3
+        params["W_o"][10] = 1e308
         ckpt = str(root / "overflow.ckpt")
         save_checkpoint(ckpt, params, l_chunk, flags, key_k)
         cfg = write_config(root, f"overflow_{command}_{temperature}.cfg", data=paths["data"],
@@ -440,7 +440,7 @@ class TestSubcommands:
 
         def diverged(*args, **kwargs):
             params = real(*args, **kwargs)
-            params.tensors["b_g"][0] = float("nan")
+            params["b_g"][0] = float("nan")
             return params
 
         monkeypatch.setattr(cli, "train_pretrain", diverged)
@@ -673,7 +673,7 @@ class TestOutsideTextQuoted:
 
         def diverged(*args, **kwargs):
             params = real(*args, **kwargs)
-            params.tensors["b_g"][0] = float("nan")
+            params["b_g"][0] = float("nan")
             return params
 
         monkeypatch.setattr(cli, "train_pretrain", diverged)

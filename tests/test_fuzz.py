@@ -297,7 +297,7 @@ def test_commands_run_a_loaded_model(valid_files, work_dir, data):
         # finite exponent, where sums overflow
         exponent = data.draw(st.one_of(st.none(), st.integers(0, 2046), st.integers(2040, 2046)))
         if exponent is not None:
-            flat = params.tensors[name].reshape(-1)
+            flat = params[name].reshape(-1)
             one = st.integers(0, flat.size - 1).map(lambda i: [i])
             for i in data.draw(st.one_of(one, st.just(range(flat.size)))):
                 flat[i] = _with_exponent(flat[i], exponent)

@@ -16,7 +16,6 @@ from compsum.errors import CheckpointError, DataError, InvariantError, SchemaErr
 from compsum.model import (
     AblationFlags,
     TENSOR_NAMES,
-    ModelParams,
     Tensors,
     _GatedCell,
     _LAYOUT,
@@ -44,21 +43,21 @@ def cell_step(params, h_prev, x):
 
 
 def zero_params(d, V):
-    return ModelParams(d, V, Tensors(d, V))
+    return Tensors(d, V)
 
 
 def cell_params_d2():
     """Fixed d=2 parameters behind the frozen cell oracle values."""
     p = zero_params(2, 7)
-    p.tensors["W_z"] = np.array([[0.1, 0.2], [0.3, 0.4]])
-    p.tensors["U_z"] = np.array([[0.5, -0.1], [0.2, 0.1]])
-    p.tensors["b_z"] = np.array([0.01, -0.02])
-    p.tensors["W_r"] = np.array([[-0.2, 0.1], [0.4, 0.3]])
-    p.tensors["U_r"] = np.array([[0.1, 0.2], [-0.3, 0.2]])
-    p.tensors["b_r"] = np.array([0.03, 0.0])
-    p.tensors["W_h"] = np.array([[0.2, -0.3], [0.1, 0.5]])
-    p.tensors["U_h"] = np.array([[0.3, 0.1], [-0.2, 0.4]])
-    p.tensors["b_h"] = np.array([0.0, 0.05])
+    p["W_z"] = np.array([[0.1, 0.2], [0.3, 0.4]])
+    p["U_z"] = np.array([[0.5, -0.1], [0.2, 0.1]])
+    p["b_z"] = np.array([0.01, -0.02])
+    p["W_r"] = np.array([[-0.2, 0.1], [0.4, 0.3]])
+    p["U_r"] = np.array([[0.1, 0.2], [-0.3, 0.2]])
+    p["b_r"] = np.array([0.03, 0.0])
+    p["W_h"] = np.array([[0.2, -0.3], [0.1, 0.5]])
+    p["U_h"] = np.array([[0.3, 0.1], [-0.2, 0.4]])
+    p["b_h"] = np.array([0.0, 0.05])
     return p
 
 
@@ -124,11 +123,11 @@ class TestRecurrentCell:
 class TestMemoryUpdate:
     def _params(self):
         p = zero_params(2, 7)
-        p.tensors["W_q"] = np.array([[0.2, -0.1], [0.1, 0.3]])
-        p.tensors["W_k"] = np.array([[0.1, 0.2], [-0.2, 0.1]])
-        p.tensors["W_v"] = np.array([[0.3, 0.0], [0.1, -0.2]])
-        p.tensors["W_g"] = np.array([[0.1, -0.1, 0.2, 0.0], [0.0, 0.2, -0.1, 0.1]])
-        p.tensors["b_g"] = np.array([0.05, -0.05])
+        p["W_q"] = np.array([[0.2, -0.1], [0.1, 0.3]])
+        p["W_k"] = np.array([[0.1, 0.2], [-0.2, 0.1]])
+        p["W_v"] = np.array([[0.3, 0.0], [0.1, -0.2]])
+        p["W_g"] = np.array([[0.1, -0.1, 0.2, 0.0], [0.0, 0.2, -0.1, 0.1]])
+        p["b_g"] = np.array([0.05, -0.05])
         return p
 
     def test_frozen_case(self):
@@ -172,22 +171,22 @@ class TestInitParams:
     def test_shapes_and_bounds(self):
         p = init_params(5, 13, 0, scale=0.08)
         shapes = tensor_shapes(5, 13)
-        assert set(p.tensors) == set(shapes)
+        assert set(p) == set(shapes)
         for name, want in shapes.items():
-            assert p.tensors[name].shape == want
-            assert np.all(np.abs(p.tensors[name]) <= 0.08)
+            assert p[name].shape == want
+            assert np.all(np.abs(p[name]) <= 0.08)
 
     def test_seed_determinism(self):
         a = init_params(4, 11, 7)
         b = init_params(4, 11, 7)
         c = init_params(4, 11, 8)
-        assert all(np.array_equal(a[k], b[k]) for k in a.tensors)
-        assert any(not np.array_equal(a[k], c[k]) for k in a.tensors)
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert any(not np.array_equal(a[k], c[k]) for k in a)
 
     def test_copy_is_deep(self):
         a = init_params(3, 9, 0)
         b = a.copy()
-        b.tensors["E"][0, 0] += 1.0
+        b["E"][0, 0] += 1.0
         assert a["E"][0, 0] != b["E"][0, 0]
 
     def test_bad_sizes(self):
@@ -201,7 +200,7 @@ class TestInitParams:
         want = init_params(4, 11, 7)
         monkeypatch.delattr(os, "sysconf", raising=False)
         got = init_params(4, 11, 7)
-        assert all(np.array_equal(want[k], got[k]) for k in want.tensors)
+        assert all(np.array_equal(want[k], got[k]) for k in want)
         # past any address space the allocator or numpy's size check refuses
         for d in (10**15, 10**18):
             with pytest.raises(MemoryError):
@@ -215,7 +214,7 @@ class TestStorage:
               "b_zrh": ("b_z", "b_r", "b_h"), "W_kv": ("W_k", "W_v")}
 
     def test_named_and_stacked_views_share_the_flat_vector(self):
-        t = init_params(5, 13, 0).tensors
+        t = init_params(5, 13, 0)
         assert t.flat.shape == (sum(math.prod(s) for s in tensor_shapes(5, 13).values()),)
         for name in TENSOR_NAMES:
             assert np.shares_memory(t[name], t.flat), name
@@ -228,11 +227,11 @@ class TestStorage:
 
     def test_order_is_tensor_names(self):
         params = init_params(3, 9, 0)
-        assert list(params.tensors) == list(TENSOR_NAMES)
-        assert list(params.zeros_like()) == list(params.copy().tensors) == list(TENSOR_NAMES)
+        assert list(params) == list(TENSOR_NAMES)
+        assert list(params.zeros_like()) == list(params.copy()) == list(TENSOR_NAMES)
 
     def test_assignment_copies_into_the_view(self):
-        t = init_params(3, 9, 0).tensors
+        t = init_params(3, 9, 0)
         view = t["W_q"]
         value = np.arange(9.0).reshape(3, 3)
         t["W_q"] = value
@@ -242,7 +241,7 @@ class TestStorage:
         assert np.shares_memory(view, t.flat)
 
     def test_refuses_wrong_shape_unknown_name_and_deletion(self):
-        t = init_params(3, 9, 0).tensors
+        t = init_params(3, 9, 0)
         before = t.flat.copy()
         want = "tensor 'E': shape (9, 3), got shape (3, 9)"
         with pytest.raises(InvariantError, match=re.escape(want)):
@@ -257,15 +256,17 @@ class TestStorage:
 
     def test_copy_and_zeros_like_are_independent(self):
         params = init_params(3, 9, 0)
-        before = params.tensors.flat.copy()
+        before = params.flat.copy()
         copy, zeros = params.copy(), params.zeros_like()
-        assert np.array_equal(copy.tensors.flat, before) and not np.any(zeros.flat)
-        copy.tensors["E"][0, 0] += 1.0
+        assert isinstance(copy, Tensors) and isinstance(zeros, Tensors)
+        assert (copy.d, copy.V) == (zeros.d, zeros.V) == (params.d, params.V)
+        assert np.array_equal(copy.flat, before) and not np.any(zeros.flat)
+        copy["E"][0, 0] += 1.0
         zeros["E"][0, 0] = 1.0
-        copy.tensors.U_zr[0, 0] += 1.0
+        copy.U_zr[0, 0] += 1.0
         zeros.b_zrh[0] = 1.0
-        assert np.array_equal(params.tensors.flat, before)
-        assert not np.shares_memory(copy.tensors.flat, zeros.flat)
+        assert np.array_equal(params.flat, before)
+        assert not np.shares_memory(copy.flat, zeros.flat)
 
     def test_augmented_assignment_keeps_the_view(self):
         grads = init_params(3, 9, 0).zeros_like()
@@ -371,9 +372,9 @@ class TestDecode:
         """All-zero model whose logits are exactly b_o at every step."""
         p = zero_params(3, 12)
         for i in best_ids:
-            p.tensors["b_o"][i] = 5.0
+            p["b_o"][i] = 5.0
         for i in worst_ids:
-            p.tensors["b_o"][i] = -5.0
+            p["b_o"][i] = -5.0
         return p
 
     def test_immediate_eos_gives_empty_summary(self):
@@ -429,7 +430,7 @@ class TestDecode:
     def test_non_finite_logits_raise(self, temperature, logit):
         # -inf is put in every row, so no logit is finite
         p = self._rigged([9])
-        p.tensors["b_o"][slice(None) if logit == -np.inf else 10] = logit
+        p["b_o"][slice(None) if logit == -np.inf else 10] = logit
         message = "^example 'x': logits not finite at decode position 0$"
         with pytest.raises(InvariantError, match=message):
             self._decode_one(p, chunk([BOS, 7], 2), 5, temperature)
@@ -448,7 +449,7 @@ class TestCheckpoint:
         loaded, l_chunk, got_flags, key_k = load_checkpoint(path)
         assert (loaded.d, loaded.V, l_chunk, key_k) == (4, 11, 9, 7)
         assert got_flags == flags
-        for name, tensor in params.tensors.items():
+        for name, tensor in params.items():
             assert np.array_equal(loaded[name], tensor)
 
     def test_flag_bits_round_trip(self, tmp_path):
@@ -542,7 +543,7 @@ class TestCheckpoint:
         path, params = self._save(tmp_path)
         data = open(path, "rb").read()
         assert struct.unpack_from("<4sI", data) == (b"CFG1", 4)
-        assert data[28:] == params.tensors.flat.astype("<f8").tobytes()
+        assert data[28:] == params.flat.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("name", TENSOR_NAMES)
     def test_non_finite_tensor_rejected(self, tmp_path, name):
@@ -556,7 +557,7 @@ class TestCheckpoint:
     def test_non_finite_tensor_not_saved(self, tmp_path, value):
         path, params = self._save(tmp_path)
         before = open(path, "rb").read()
-        params.tensors["W_o"][0, 0] = value
+        params["W_o"][0, 0] = value
         with pytest.raises(InvariantError, match="tensor 'W_o' holds non-finite values"):
             save_checkpoint(path, params, 5, AblationFlags())
         assert open(path, "rb").read() == before

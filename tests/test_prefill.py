@@ -105,7 +105,7 @@ def test_prefill_unaligned_layouts(d, memory_on):
 @pytest.mark.parametrize("memory_on", [True, False])
 def test_decode_each_spans_several_blocks(memory_on, monkeypatch):
     params = _params(6, 5)
-    params.tensors["b_o"][EOS] = -3.0  # decode for a while before EOS
+    params["b_o"][EOS] = -3.0  # decode for a while before EOS
     flags = _flags(memory_on)
     contexts = _contexts(4, seed=6) + _uneven_contexts(7) + _contexts(None, seed=8)
     greedy = [greedy_decode(params, chunks, 12, flags) for chunks in contexts]
@@ -156,7 +156,7 @@ def test_batched_memory_update_equals_single_calls(d, m):
 @pytest.mark.parametrize("memory_on", [True, False])
 def test_decoding_with_and_without_start(d, memory_on):
     params = _params(d, 9)
-    params.tensors["b_o"][EOS] = -3.0  # decode for a while before EOS
+    params["b_o"][EOS] = -3.0  # decode for a while before EOS
     flags = _flags(memory_on)
     contexts = _contexts(4, seed=10) + _uneven_contexts(11)
     for chunks, start in zip(contexts, prefill(params, contexts, flags)):

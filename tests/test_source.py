@@ -101,3 +101,15 @@ def test_no_line_over_100_characters():
         if len(line) > 100
     ]
     assert not long
+
+
+def test_no_module_reads_the_tensors_property():
+    # ``Tensors.tensors`` returns the store itself and is kept for the
+    # benchmark harness alone; the program indexes the store directly.
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "tensors"
+    ]
+    assert not reads

@@ -134,7 +134,7 @@ def test_generation_and_contrastive_gradients(d, memory_on, monkeypatch):
 @pytest.mark.parametrize("l_chunk", CHUNK_SIZES)
 def test_greedy_decode(d, memory_on, l_chunk):
     params, context, _, _ = _example(d, 5)
-    params.tensors["b_o"][EOS] = -3.0  # decode for a while before stopping
+    params["b_o"][EOS] = -3.0  # decode for a while before stopping
     chunks = _chunks(context, l_chunk)
     seen: dict[str, list[np.ndarray]] = {"new": [], "oracle": []}
 

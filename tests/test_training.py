@@ -228,11 +228,11 @@ class TestFiniteDifference:
         E[0, 0] replaced by ``bad_grad`` when one is given."""
 
         def loss_fn(p):
-            return float(0.5 * (p.tensors["E"] ** 2).sum()) + loss_offset
+            return float(0.5 * (p["E"] ** 2).sum()) + loss_offset
 
         def grad_fn(p):
             grads = p.zeros_like()
-            grads["E"] = p.tensors["E"]
+            grads["E"] = p["E"]
             if bad_grad is not None:
                 grads["E"][0, 0] = bad_grad
             return grads
@@ -256,11 +256,11 @@ class TestFiniteDifference:
 
     def test_params_restored_after_probing(self):
         probe = gradcheck_probe(4)
-        before = {k: v.copy() for k, v in probe.params.tensors.items()}
+        before = {k: v.copy() for k, v in probe.params.items()}
         finite_difference_check(probe.params, probe.loss, probe.grads,
                                 max_entries=5, seed=0)
         for name, tensor in before.items():
-            assert np.array_equal(probe.params.tensors[name], tensor)
+            assert np.array_equal(probe.params[name], tensor)
 
     def test_eps_validation(self):
         probe = gradcheck_probe(5)
@@ -293,7 +293,7 @@ def random_grads(params, rng, scale=1.0):
 class TestAdam:
     def test_frozen_first_step(self):
         params = zero_params(2, 7)
-        params.tensors["E"][0, 0] = 1.0
+        params["E"][0, 0] = 1.0
         grads = params.zeros_like()
         grads["E"][0, 0] = 1.0
         state = init_adam_state(params)
@@ -305,7 +305,7 @@ class TestAdam:
 
     def test_zero_gradients_leave_params_unchanged(self):
         params = init_params(3, 9, 0)
-        before = {k: v.copy() for k, v in params.tensors.items()}
+        before = {k: v.copy() for k, v in params.items()}
         state = init_adam_state(params)
         optimizer_step(params, params.zeros_like(), state, TrainConfig())
         for name in before:
@@ -323,7 +323,7 @@ class TestAdam:
             return params
 
         a, b = run(), run()
-        for name in a.tensors:
+        for name in a:
             assert np.array_equal(a[name], b[name])
 
     @pytest.mark.parametrize("d, V", [(1, 7), (3, 9), (32, 68)])
@@ -331,7 +331,7 @@ class TestAdam:
         rng = np.random.default_rng(d)
         params = init_params(d, V, 1)
         state = init_adam_state(params)
-        want = {k: v.copy() for k, v in params.tensors.items()}
+        want = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros_like(v) for k, v in want.items()}
         v = {k: np.zeros_like(a) for k, a in want.items()}
         cfg = TrainConfig(learning_rate=0.01)
@@ -397,21 +397,21 @@ class TestTrainingLoops:
         init = init_params(8, len(vocab), 3)
         out = train_pretrain(corpus, self._config(epochs=0), vocab, init=init)
         assert out is not init
-        for name in init.tensors:
+        for name in init:
             assert np.array_equal(out[name], init[name])
 
     def test_zero_epochs_seeded_init(self, tiny_data):
         corpus, vocab = tiny_data
         out = train_pretrain(corpus, self._config(epochs=0, seed=5), vocab)
         fresh = init_params(8, len(vocab), 5)
-        for name in fresh.tensors:
+        for name in fresh:
             assert np.array_equal(out[name], fresh[name])
 
     def test_pretrain_deterministic(self, tiny_data):
         corpus, vocab = tiny_data
         a = train_pretrain(corpus, self._config(), vocab)
         b = train_pretrain(corpus, self._config(), vocab)
-        for name in a.tensors:
+        for name in a:
             assert np.array_equal(a[name], b[name])
 
     def test_pretrain_reduces_loss(self, tiny_data):
@@ -462,12 +462,12 @@ class TestTrainingLoops:
         out = train_comparative(corpus, init, cfg, vocab, log_fn=records.append)
         assert len(records) == len(corpus)
         assert all(r.lam == 0.5 and r.l_comp > 0.0 for r in records)
-        assert any(not np.array_equal(out[name], init[name]) for name in init.tensors)
+        assert any(not np.array_equal(out[name], init[name]) for name in init)
 
     def test_non_finite_values_name_stage_and_step(self, tiny_data):
         corpus, vocab = tiny_data
         init = init_params(8, len(vocab), 0)
-        init.tensors["W_o"][3, 2] = np.nan
+        init["W_o"][3, 2] = np.nan
         with pytest.raises(InvariantError, match="pretrain step 1: loss nan"):
             train_pretrain(corpus, self._config(), vocab, init=init)
         with pytest.raises(InvariantError, match="comparative step 1: loss nan"):

@@ -20,7 +20,7 @@ from compsum.model import (
     AblationFlags,
     ForwardTrace,
     MemoryTrace,
-    ModelParams,
+    Tensors,
     _chunk_layout,
     softmax,
 )
@@ -33,37 +33,35 @@ def clipped_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def cell(
-    params: ModelParams, h_prev: np.ndarray, x: np.ndarray
+    params: Tensors, h_prev: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One cell step; returns (h, z, r, h_cand)."""
-    t = params.tensors
     d = params.d
     # U_z h and U_r h as one product of the stacked (2d, d) matrix
-    u_zr = np.concatenate([t["U_z"], t["U_r"]]) @ h_prev
-    z = clipped_sigmoid(u_zr[:d] + (t["W_z"] @ x + t["b_z"]))
-    r = clipped_sigmoid(u_zr[d:] + (t["W_r"] @ x + t["b_r"]))
-    h_cand = np.tanh(t["U_h"] @ (r * h_prev) + (t["W_h"] @ x + t["b_h"]))
+    u_zr = np.concatenate([params["U_z"], params["U_r"]]) @ h_prev
+    z = clipped_sigmoid(u_zr[:d] + (params["W_z"] @ x + params["b_z"]))
+    r = clipped_sigmoid(u_zr[d:] + (params["W_r"] @ x + params["b_r"]))
+    h_cand = np.tanh(params["U_h"] @ (r * h_prev) + (params["W_h"] @ x + params["b_h"]))
     h = h_prev + z * (h_cand - h_prev)
     return h, z, r, h_cand
 
 
 def memory_update(
-    params: ModelParams, mem_prev: np.ndarray, hiddens: np.ndarray
+    params: Tensors, mem_prev: np.ndarray, hiddens: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """(q, ks, vs, alpha, attended, gate, mem_new) of one memory update."""
-    t = params.tensors
-    q = t["W_q"] @ mem_prev
-    ks = hiddens @ t["W_k"].T
-    vs = hiddens @ t["W_v"].T
+    q = params["W_q"] @ mem_prev
+    ks = hiddens @ params["W_k"].T
+    vs = hiddens @ params["W_v"].T
     alpha = softmax(ks @ q / np.sqrt(params.d))
     attended = alpha @ vs
-    gate = clipped_sigmoid(t["W_g"] @ np.concatenate([mem_prev, attended]) + t["b_g"])
+    gate = clipped_sigmoid(params["W_g"] @ np.concatenate([mem_prev, attended]) + params["b_g"])
     mem_new = (1.0 - gate) * mem_prev + gate * attended
     return q, ks, vs, alpha, attended, gate, mem_new
 
 
 def memory_update_backward(
-    params: ModelParams,
+    params: Tensors,
     trace: ForwardTrace,
     i: int,
     d_new: np.ndarray,
@@ -72,7 +70,6 @@ def memory_update_backward(
     """Backprop the memory update that folds region i into the memory;
     returns (d_mem_prev, d_hiddens) for the memory in effect in region i and
     that region's hidden states."""
-    t = params.tensors
     d = params.d
     m = trace.memory
     start, end = trace.region_spans[i]
@@ -85,7 +82,7 @@ def memory_update_backward(
     dg_pre = dg * gate * (1.0 - gate)
     grads["W_g"] += np.outer(dg_pre, np.concatenate([mem_prev, attended]))
     grads["b_g"] += dg_pre
-    du = t["W_g"].T @ dg_pre
+    du = params["W_g"].T @ dg_pre
     d_mem_prev += du[:d]
     d_att = d_att + du[d:]
     dalpha = vs @ d_att
@@ -95,15 +92,15 @@ def memory_update_backward(
     dq = (ks.T @ dscores) * inv_sqrt_d
     dks = np.outer(dscores, m.qs[i]) * inv_sqrt_d
     grads["W_q"] += np.outer(dq, mem_prev)
-    d_mem_prev += t["W_q"].T @ dq
+    d_mem_prev += params["W_q"].T @ dq
     grads["W_k"] += dks.T @ hiddens
     grads["W_v"] += dvs.T @ hiddens
-    d_hiddens = dks @ t["W_k"] + dvs @ t["W_v"]
+    d_hiddens = dks @ params["W_k"] + dvs @ params["W_v"]
     return d_mem_prev, d_hiddens
 
 
 def run_stream(
-    params: ModelParams,
+    params: Tensors,
     input_ids: Sequence[int],
     region_spans: Sequence[tuple[int, int]],
     memory_on: bool,
@@ -111,7 +108,6 @@ def run_stream(
 ) -> ForwardTrace:
     S = len(input_ids)
     d = params.d
-    t = params.tensors
     xs = np.zeros((S, d))
     hs = np.zeros((S, d))
     zs = np.zeros((S, d))
@@ -127,14 +123,14 @@ def run_stream(
         mems[i] = mem
         for p in range(start, end):
             tok = input_ids[p]
-            x = t["E"][tok] + mem if memory_on else t["E"][tok]
+            x = params["E"][tok] + mem if memory_on else params["E"][tok]
             h, z, r, h_cand = cell(params, h, x)
             xs[p], hs[p], zs[p], rs[p], h_cands[p] = x, h, z, r, h_cand
         if memory_on and end < S:
             (qs[i], ks[start:end], vs[start:end], alphas[start:end], attended[i], gates[i],
              mem) = memory_update(params, mem, hs[start:end])
     memory = MemoryTrace(mems, qs, ks, vs, alphas, attended, gates) if memory_on else None
-    logits = hs[logits_start:] @ t["W_o"].T + t["b_o"][None, :]
+    logits = hs[logits_start:] @ params["W_o"].T + params["b_o"][None, :]
     return ForwardTrace(
         list(input_ids), list(region_spans), xs, hs, zs, rs, h_cands,
         memory, logits, logits_start,
@@ -142,13 +138,12 @@ def run_stream(
 
 
 def backward_stream(
-    params: ModelParams,
+    params: Tensors,
     trace: ForwardTrace,
     grads: Gradients,
     dlogits: np.ndarray | None = None,
     dh_seeds: np.ndarray | None = None,
 ) -> None:
-    t = params.tensors
     d = params.d
     S = len(trace.input_ids)
     dhs = np.zeros((S, d))
@@ -158,7 +153,7 @@ def backward_stream(
         start = trace.logits_start
         grads["W_o"] += dlogits.T @ trace.hs[start:]
         grads["b_o"] += dlogits.sum(axis=0)
-        dhs[start:] += dlogits @ t["W_o"]
+        dhs[start:] += dlogits @ params["W_o"]
     memory_on = trace.memory is not None
     d_mem = np.zeros(d)
     dh_carry = np.zeros(d)
@@ -175,7 +170,7 @@ def backward_stream(
             dz = dh * (h_cand - h_prev)
             dh_prev = dh * (1.0 - z)
             da_h = (dh * z) * (1.0 - h_cand * h_cand)
-            uh_t_da = t["U_h"].T @ da_h
+            uh_t_da = params["U_h"].T @ da_h
             dr = uh_t_da * h_prev
             dh_prev += uh_t_da * r
             da_z = dz * z * (1.0 - z)
@@ -189,8 +184,8 @@ def backward_stream(
             grads["W_r"] += np.outer(da_r, x)
             grads["U_r"] += np.outer(da_r, h_prev)
             grads["b_r"] += da_r
-            dh_prev += t["U_z"].T @ da_z + t["U_r"].T @ da_r
-            dx = t["W_z"].T @ da_z + t["W_r"].T @ da_r + t["W_h"].T @ da_h
+            dh_prev += params["U_z"].T @ da_z + params["U_r"].T @ da_r
+            dx = params["W_z"].T @ da_z + params["W_r"].T @ da_r + params["W_h"].T @ da_h
             dE[trace.input_ids[p]] += dx
             if memory_on:
                 d_mem += dx
@@ -202,7 +197,7 @@ def backward_stream(
 
 
 def decode(
-    params: ModelParams,
+    params: Tensors,
     context_chunks: Sequence[Chunk],
     max_len: int,
     flags: AblationFlags | None,
@@ -210,27 +205,26 @@ def decode(
 ) -> list[int]:
     memory_on = flags is None or not flags.disable_memory
     context, spans = _chunk_layout(context_chunks)
-    t = params.tensors
     mem = np.zeros(params.d)
     h = np.zeros(params.d)
     for start, end in spans:
         hiddens = np.zeros((end - start, params.d))
         for p in range(start, end):
-            x = t["E"][context[p]] + mem if memory_on else t["E"][context[p]]
+            x = params["E"][context[p]] + mem if memory_on else params["E"][context[p]]
             h = cell(params, h, x)[0]
             hiddens[p - start] = h
         if memory_on:
             mem = memory_update(params, mem, hiddens)[-1]
     out: list[int] = []
     while len(out) < max_len:
-        logits = t["W_o"] @ h + t["b_o"]
+        logits = params["W_o"] @ h + params["b_o"]
         logits[PAD] = -np.inf
         logits[BOS] = -np.inf
         tok = pick(logits)
         if tok == EOS:
             break
         out.append(tok)
-        x = t["E"][tok] + mem if memory_on else t["E"][tok]
+        x = params["E"][tok] + mem if memory_on else params["E"][tok]
         h = cell(params, h, x)[0]
     return out
 
