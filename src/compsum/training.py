@@ -195,11 +195,12 @@ def _backward_stream(
     U_h_T, U_zr_T = params["U_h"].T, params.U_zr.T
     # Rows [da_z | da_r | da_h] start as the chain rule's factors that depend
     # on the forward pass alone, [C_z | C_r | A_h], and the sweep multiplies
-    # them in place: a_h = dh * A_h, a_z = dh * C_z, a_r = (U_h^T a_h) * C_r.
+    # them in place: a_h = dh * A_h, then [a_z | a_r] = [dh | u] * [C_z | C_r]
+    # with u = U_h^T a_h; the carry is U_zr^T [a_z | a_r] + [dh | u] * [1 - z | r].
     da = np.empty((S, 3 * d))
     da_z, da_r, da_h, da_zr = da[:, :d], da[:, d : 2 * d], da[:, 2 * d :], da[:, : 2 * d]
-    one_minus_z = 1.0 - zs
-    np.multiply((h_cands - h_prevs) * zs, one_minus_z, out=da_z)
+    direct = np.concatenate([1.0 - zs, rs], axis=1)
+    np.multiply((h_cands - h_prevs) * zs, direct[:, :d], out=da_z)
     np.multiply(h_prevs * rs, 1.0 - rs, out=da_r)
     np.multiply(zs, 1.0 - h_cands * h_cands, out=da_h)
     if m is not None:
@@ -210,18 +211,20 @@ def _backward_stream(
         dq, dkv = np.empty_like(dg_pre), np.empty((n, 2 * d))
         scaled_ks, scaled_qs = m.ks / np.sqrt(d), m.qs / np.sqrt(d)
         W_g_T, W_q_T = params["W_g"].T, params["W_q"].T
-    d_mem = np.zeros(d)
-    carry = np.zeros(d)
+    d_mem, carry, dh_u, terms = np.zeros(d), np.zeros(d), np.empty(2 * d), np.empty(2 * d)
+    dh, u, dh_term, u_term = dh_u[:d], dh_u[d:], terms[:d], terms[d:]
     for ri in range(len(spans) - 1, -1, -1):
         start, end = spans[ri]
         for p in range(end - 1, start - 1, -1):
-            dh = dhs[p] + carry
-            a_z, a_r, a_h = da_z[p], da_r[p], da_h[p]
+            np.add(dhs[p], carry, out=dh)
+            a_h, a_zr = da_h[p], da_zr[p]
             a_h *= dh
-            u = U_h_T @ a_h
-            a_z *= dh
-            a_r *= u
-            carry = dh * one_minus_z[p] + u * rs[p] + U_zr_T @ da_zr[p]
+            np.matmul(U_h_T, a_h, out=u)
+            a_zr *= dh_u
+            np.matmul(U_zr_T, a_zr, out=carry)
+            np.multiply(dh_u, direct[p], out=terms)
+            carry += dh_term
+            carry += u_term
         if m is None or ri == 0:
             continue
         # Back through update i, which folded region i into the memory.
@@ -275,18 +278,18 @@ def _loss_terms(
         # An encoding is the mean of its pass's hidden states, so each
         # position of the pass is seeded with 1/S of the weighted gradient.
         for (enc, _), d_mean in zip(encs, [*d_vecs, d_ref]):
-            S = len(enc.input_ids)
-            seeds.append((enc, None, np.tile(spec.lam * d_mean / S, (S, 1))))
+            seeds.append((enc, None, spec.lam * d_mean / len(enc.input_ids)))
     return l_gen, l_comp, seeds
 
 
 def _losses_and_grads(
-    trace: ForwardTrace, params: Tensors, loss_spec: LossSpec
+    trace: ForwardTrace, params: Tensors, loss_spec: LossSpec, grads: Gradients
 ) -> tuple[float, float, Gradients]:
-    """(l_gen, l_comp, gradients): the loss terms of ``_loss_terms`` and the
-    exact gradients of the spec's scalar loss, one backward sweep per seed."""
+    """(l_gen, l_comp, grads): the loss terms of ``_loss_terms`` and the exact
+    gradients of the spec's scalar loss, one backward sweep per seed, written
+    into ``grads`` after zeroing it."""
     l_gen, l_comp, seeds = _loss_terms(trace, params, loss_spec)
-    grads = params.zeros_like()
+    grads.flat.fill(0.0)
     for stream, dlogits, dh_seeds in seeds:
         _backward_stream(params, stream, grads, dlogits, dh_seeds)
     return l_gen, l_comp, grads
@@ -299,7 +302,7 @@ def backward(trace: ForwardTrace, params: Tensors, loss_spec: LossSpec) -> Gradi
     the paths through every memory update into previous-region hidden states;
     the contrastive term runs its encoding passes and sweeps each of them.
     """
-    return _losses_and_grads(trace, params, loss_spec)[2]
+    return _losses_and_grads(trace, params, loss_spec, params.zeros_like())[2]
 
 
 # --- finite-difference verification ---------------------------------------
@@ -420,17 +423,24 @@ def optimizer_step(
     params: Tensors, grads: Gradients, opt_state: AdamState, config: "TrainConfig"
 ) -> None:
     """One Adam update at ``config.learning_rate`` in place, over the flat
-    vectors of all tensors at once; increments the step counter by 1."""
-    opt_state.step += 1
+    vectors of all tensors at once; increments the step counter by 1.  The
+    update is lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), computed
+    in place in that order through one scratch pair."""
+    t = opt_state.step = opt_state.step + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     g, m, v = grads.flat, opt_state.m.flat, opt_state.v.flat
+    s, u = np.empty((2, g.size))
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=s)
     v *= b2
-    v += (1.0 - b2) * (g * g)
-    params.flat -= config.learning_rate * (m / (1.0 - b1**opt_state.step)) / (
-        np.sqrt(v / (1.0 - b2**opt_state.step)) + ADAM_EPS
-    )
+    np.multiply(g, g, out=s)
+    s *= 1.0 - b2
+    v += s
+    np.sqrt(np.divide(v, 1.0 - b2**t, out=s), out=s)
+    s += ADAM_EPS
+    np.divide(m, 1.0 - b1**t, out=u)
+    u *= config.learning_rate
+    params.flat -= np.divide(u, s, out=u)
 
 
 # --- training loops --------------------------------------------------------
@@ -486,7 +496,7 @@ def _train(
     """Train ``params`` in place on the examples, one clipped Adam step per
     example, reshuffled each epoch from the config seed; both stages run
     here and differ only in their examples' loss specs."""
-    state = init_adam_state(params)
+    state, grads = init_adam_state(params), params.zeros_like()
     rng = np.random.default_rng(config.seed)
     memory_on = not config.disable_memory
     step = 0
@@ -494,7 +504,7 @@ def _train(
         for idx in rng.permutation(len(examples)):
             ids, spans, logits_start, spec = examples[int(idx)]
             trace = _run_stream(params, ids, spans, memory_on, logits_start)
-            l_gen, l_comp, grads = _losses_and_grads(trace, params, spec)
+            l_gen, l_comp, _ = _losses_and_grads(trace, params, spec, grads)
             l_stage = stage_loss(l_gen, l_comp, spec.lam)
             step += 1
             norm = clip_gradients(grads, config.clip_norm)

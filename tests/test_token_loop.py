@@ -6,6 +6,7 @@ products, in another order than the oracle's loop, so its gradients must
 agree to rtol 1e-12."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,28 @@ class TestActivationAndSum:
                 arrays.append(rng.normal(size=size) * scale)
         for x in arrays:
             assert np.array_equal(sigmoid(x), oracle.clipped_sigmoid(x), equal_nan=True)
+
+    def test_cell_gates_at_the_clip(self):
+        # The cell negates the z and r pre-activations and takes their
+        # sigmoid as 1 / (1 + exp(min(-x, 700))); at and past the clip it
+        # must give the oracle's bits and never overflow.
+        pre = np.array([-1e3, -700.5, -700.0, 700.0, 1e3])
+        d = len(pre)
+        params = init_params(d, 7, 0)
+        for name in ("W_z", "W_r", "U_z", "U_r"):
+            params[name] = np.zeros((d, d))
+        params["b_z"], params["b_r"] = pre, pre[::-1]
+        h_prev, x = np.linspace(-0.5, 0.5, d), np.linspace(1.0, -1.0, d)
+        cell = model._GatedCell(params)
+        h, zr, h_cand = np.empty(d), np.empty(2 * d), np.empty(d)
+        with np.errstate(over="warn", invalid="warn", divide="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cell.step(h_prev, cell.project(x[None])[0], h, zr, h_cand)
+            want_h, want_z, want_r, want_cand = oracle.cell(params, h_prev, x)
+        assert np.array_equal(zr[:d], oracle.clipped_sigmoid(pre))
+        assert np.array_equal(zr[d:], oracle.clipped_sigmoid(pre[::-1]))
+        for got, want in ((zr[:d], want_z), (zr[d:], want_r), (h, want_h), (h_cand, want_cand)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", DIMS)

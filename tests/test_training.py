@@ -198,20 +198,39 @@ class TestBackward:
         probe = gradcheck_probe(seed)
         spec = probe.spec
         trace = forward(probe.params, probe.context_chunks, spec.targets)
-        l_gen, l_comp, _ = _losses_and_grads(trace, probe.params, spec)
+        l_gen, l_comp, _ = _losses_and_grads(trace, probe.params, spec, probe.params.zeros_like())
         assert probe.loss(probe.params) == stage_loss(l_gen, l_comp, spec.lam)
 
     def test_probe_loss_runs_no_backward_sweep(self, monkeypatch):
         probe = gradcheck_probe(0)
         spec = probe.spec
         trace = forward(probe.params, probe.context_chunks, spec.targets)
-        l_gen, l_comp, _ = _losses_and_grads(trace, probe.params, spec)
+        l_gen, l_comp, _ = _losses_and_grads(trace, probe.params, spec, probe.params.zeros_like())
 
         def no_sweep(*args, **kwargs):
             raise AssertionError("the probe's loss ran a backward sweep")
 
         monkeypatch.setattr(training, "_backward_stream", no_sweep)
         assert probe.loss(probe.params) == stage_loss(l_gen, l_comp, spec.lam)
+
+    @pytest.mark.parametrize("term", ["generation", "contrastive"])
+    def test_reused_store_gets_a_fresh_stores_gradients(self, term):
+        # Training writes every step's gradients into one store, so each
+        # call must zero it first rather than add to the last step's.
+        probe = gradcheck_probe(1)
+        spec = probe.spec
+        if term == "generation":
+            spec = LossSpec(targets=spec.targets)
+        else:
+            spec = LossSpec(lam=spec.lam, insights=spec.insights, ref_tokens=spec.ref_tokens)
+        trace = forward(probe.params, probe.context_chunks, probe.spec.targets)
+        assert trace.memory is not None
+        want = backward(trace, probe.params, spec)
+        store = probe.params.zeros_like()
+        for _ in range(2):
+            assert _losses_and_grads(trace, probe.params, spec, store)[2] is store
+            assert np.array_equal(store.flat, want.flat)
+        assert np.any(want.flat != 0.0)
 
 
 class TestFiniteDifference:
