@@ -29,7 +29,7 @@ from .corpus import (
 )
 from .errors import ConfigError, Error, InvariantError
 from .ioutil import utf8_lines, write_lines
-from .metrics import DEFAULT_TAU, evaluate_dataset, mean_in_order, write_report
+from .metrics import DEFAULT_TAU, aggregate_record, evaluate_dataset, mean_in_order, write_report
 from .model import AblationFlags, decode_each, load_checkpoint, model_context, save_checkpoint
 from .training import (
     StepRecord,
@@ -66,21 +66,12 @@ class RunConfig(TrainConfig):
     synth_seed: int = 0
 
 
-def _parser(convert: Callable[[str], object], expected: str) -> Callable[[str, str], object]:
-    def parse(key: str, raw: str):
-        try:
-            return convert(raw)
-        except (KeyError, ValueError):
-            raise ConfigError(key, f"expected {expected}, got {raw!r}") from None
-
-    return parse
-
-
-_PARSERS: dict[type, Callable[[str, str], object]] = {
-    str: lambda key, raw: raw,
-    int: _parser(int, "an integer"),
-    float: _parser(float, "a number"),
-    bool: _parser({"true": True, "false": False}.__getitem__, "true or false"),
+# field type -> (conversion of the raw string, what a bad value was expected to be)
+_PARSERS: dict[type, tuple[Callable[[str], object], str]] = {
+    str: (str, "a string"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: ({"true": True, "false": False}.__getitem__, "true or false"),
 }
 # The config keys whose name is not their field's: 'lambda' is a Python
 # keyword, and 'lr' is short for the learning rate.
@@ -88,9 +79,9 @@ _RENAMED_KEYS = {"lam": "lambda", "learning_rate": "lr"}
 
 
 _HINTS = get_type_hints(RunConfig)
-# key -> (field name, parser), one per field of RunConfig, the parser chosen
-# by the field's type.  Parsers take (key, raw-string).
-_CONFIG_KEYS: dict[str, tuple[str, Callable]] = {
+# key -> (field name, parser entry), one per field of RunConfig, the entry
+# chosen by the field's type.
+_CONFIG_KEYS: dict[str, tuple[str, tuple[Callable[[str], object], str]]] = {
     _RENAMED_KEYS.get(f.name, f.name): (f.name, _PARSERS[_HINTS[f.name]]) for f in fields(RunConfig)
 }
 
@@ -136,8 +127,11 @@ def load_config(path: str) -> RunConfig:
         raw = raw.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(key, "unknown key")
-        name, parse = _CONFIG_KEYS[key]
-        setattr(config, name, parse(key, raw))
+        name, (convert, expected) = _CONFIG_KEYS[key]
+        try:
+            setattr(config, name, convert(raw))
+        except (KeyError, ValueError):
+            raise ConfigError(key, f"expected {expected}, got {raw!r}") from None
     return _validate(config)
 
 
@@ -236,12 +230,12 @@ def _cmd_generate(config: RunConfig) -> int:
 def _cmd_evaluate(config: RunConfig) -> int:
     vocab, dataset = _load_vocab_and_data(config)
     params, l_chunk, flags, key_k = _load_matching_checkpoint(config, vocab)
-    report = evaluate_dataset(
+    rows = evaluate_dataset(
         params, dataset, vocab, l_chunk, config.max_len, tau=config.tau, key_k=key_k, flags=flags
     )
     if config.report:
-        write_report(config.report, report)
-    print(json.dumps(report.aggregate_record()))
+        write_report(config.report, rows)
+    print(json.dumps(aggregate_record(rows)))
     return 0
 
 
@@ -281,15 +275,15 @@ def _cmd_pipeline(config: RunConfig) -> int:
         if config.checkpoint_out:
             save_checkpoint(config.checkpoint_out, params, config.l_chunk, flags, config.key_k)
         label = "evaluate"
-        report = evaluate_dataset(
+        rows = evaluate_dataset(
             params, dataset, vocab, config.l_chunk, config.max_len,
             tau=config.tau, key_k=config.key_k, flags=flags,
         )
         if config.report:
-            write_report(config.report, report)
+            write_report(config.report, rows)
         l_pretrain = _final_epoch_mean(pre_records, config.epochs, "l_gen")
         l_comparative = _final_epoch_mean(comp_records, config.epochs, "l_stage")
-        summary = report.aggregate_record()
+        summary = aggregate_record(rows)
         summary["l_pretrain"] = l_pretrain
         summary["l_comparative"] = l_comparative
         summary["total_loss"] = l_pretrain + l_comparative

@@ -393,13 +393,11 @@ def generate_synthetic_corpus(
                         f"the {_ORDINALS[j]} approach stays rather simple here .",
                     ]
                 )
-            papers.append(RawPaper(f"s{seed}e{i:04d}p{j}", f"{m} study", text, ""))
-        for j in range(n):
             if j < n - 1:
-                frag = f"{_METHODS[j]} outperforms {_METHODS[j + 1]} on accuracy"
+                insight = f"{m} outperforms {_METHODS[j + 1]} on accuracy"
             else:
-                frag = f"{_METHODS[j]} trails {_METHODS[j - 1]} on accuracy"
-            papers[j].insight = frag
+                insight = f"{m} trails {_METHODS[j - 1]} on accuracy"
+            papers.append(RawPaper(f"s{seed}e{i:04d}p{j}", f"{m} study", text, insight))
         sentences = [f"the {FACT_MARKER} {fact_value} is confirmed ."]
         sentences.extend(f"{_METHODS[j]} is covered here ." for j in range(n))
         sentences.extend(

@@ -81,17 +81,9 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> ScoreTriple:
     return _triple(lcs_length(candidate, reference), len(candidate), len(reference))
 
 
-@dataclass
-class RougeScores:
-    """The three ROUGE variants for one candidate/reference pair."""
-
-    rouge1: ScoreTriple
-    rouge2: ScoreTriple
-    rougeL: ScoreTriple
-
-
-def compute_rouge(candidate: Sequence[str], reference: Sequence[str]) -> RougeScores:
-    return RougeScores(
+def compute_rouge(candidate: Sequence[str], reference: Sequence[str]) -> tuple[ScoreTriple, ...]:
+    """(ROUGE-1, ROUGE-2, ROUGE-L) of one candidate/reference pair."""
+    return (
         rouge_n(candidate, reference, 1),
         rouge_n(candidate, reference, 2),
         rouge_l(candidate, reference),
@@ -178,30 +170,20 @@ class ExampleScores:
     g_score: float
 
 
-@dataclass
-class EvalReport:
-    """The per-example rows of a dataset evaluation."""
-
-    rows: list[ExampleScores]
-
-    def aggregate_record(self) -> dict:
-        """The mean of each score in row order (``mean_in_order``), then
-        ``example_count``."""
-        record = {
-            f.name: mean_in_order(getattr(row, f.name) for row in self.rows)
-            for f in fields(ExampleScores) if f.name != "id"
-        }
-        record["example_count"] = len(self.rows)
-        return record
-
-    def to_lines(self) -> list[str]:
-        lines = [json.dumps(self.aggregate_record())]
-        lines.extend(json.dumps(asdict(row)) for row in self.rows)
-        return lines
+def aggregate_record(rows: Sequence[ExampleScores]) -> dict:
+    """The mean of each score in row order (``mean_in_order``), then
+    ``example_count``."""
+    record = {
+        f.name: mean_in_order(getattr(row, f.name) for row in rows)
+        for f in fields(ExampleScores) if f.name != "id"
+    }
+    record["example_count"] = len(rows)
+    return record
 
 
-def write_report(path: str, report: EvalReport) -> None:
-    write_lines(path, report.to_lines())
+def write_report(path: str, rows: Sequence[ExampleScores]) -> None:
+    lines = [json.dumps(aggregate_record(rows))]
+    write_lines(path, lines + [json.dumps(asdict(row)) for row in rows])
 
 
 def evaluate_dataset(
@@ -213,7 +195,7 @@ def evaluate_dataset(
     tau: float = DEFAULT_TAU,
     key_k: int = TrainConfig.key_k,
     flags: AblationFlags = AblationFlags(),
-) -> EvalReport:
+) -> list[ExampleScores]:
     """Greedy-decode a summary for every example and score it against the
     reference summary (ROUGE) and the insight units (G-Score).
 
@@ -230,10 +212,7 @@ def evaluate_dataset(
         ref_ids = ps.ref_summary[:-1] if ps.ref_summary[-1] == EOS else ps.ref_summary
         reference = vocab.decode(ref_ids)
         units = [vocab.decode(doc.insight) for doc in ps.docs if doc.insight]
-        scores = compute_rouge(candidate, reference)
+        rouge1, rouge2, rougeL = compute_rouge(candidate, reference)
         g = g_score(candidate, units, tau)
-        row = ExampleScores(
-            ps.id, scores.rouge1.f1, scores.rouge2.f1, scores.rougeL.f1, g.value
-        )
-        rows.append(row)
-    return EvalReport(rows)
+        rows.append(ExampleScores(ps.id, rouge1.f1, rouge2.f1, rougeL.f1, g.value))
+    return rows

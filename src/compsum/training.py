@@ -495,17 +495,21 @@ def _train(
 ) -> Tensors:
     """Train ``params`` in place on the examples, one clipped Adam step per
     example, reshuffled each epoch from the config seed; both stages run
-    here and differ only in their examples' loss specs."""
+    here and differ only in their examples' loss specs.  An epoch after the
+    first whose mean l_gen exceeds 2 ln V raises InvariantError."""
     state, grads = init_adam_state(params), params.zeros_like()
     rng = np.random.default_rng(config.seed)
     memory_on = not config.disable_memory
+    bound = 2.0 * math.log(params.V)  # twice a uniform guess's loss
     step = 0
     for epoch in range(1, config.epochs + 1):
+        epoch_l_gen = 0.0
         for idx in rng.permutation(len(examples)):
             ids, spans, logits_start, spec = examples[int(idx)]
             trace = _run_stream(params, ids, spans, memory_on, logits_start)
             l_gen, l_comp, _ = _losses_and_grads(trace, params, spec, grads)
             l_stage = stage_loss(l_gen, l_comp, spec.lam)
+            epoch_l_gen += l_gen
             step += 1
             norm = clip_gradients(grads, config.clip_norm)
             if not (math.isfinite(l_stage) and math.isfinite(norm)):
@@ -515,6 +519,12 @@ def _train(
             optimizer_step(params, grads, state, config)
             if log_fn is not None:
                 log_fn(StepRecord(step, epoch, l_gen, l_comp, spec.lam, l_stage, norm))
+        mean = epoch_l_gen / len(examples)
+        if epoch > 1 and mean > bound:
+            raise InvariantError(
+                f"{stage} epoch {epoch}: mean l_gen {mean:.6g} above 2 ln V = {bound:.6g}"
+                " (diverging)"
+            )
     return params
 
 

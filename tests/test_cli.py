@@ -91,6 +91,20 @@ class TestLoadConfig:
     def test_bad_float(self, tmp_path):
         self._expect_config_error(tmp_path, "lr=fast\n", "lr")
 
+    @pytest.mark.parametrize("line, reason", [
+        ("epochs=three", "expected an integer, got 'three'"),
+        ("lr=fast", "expected a number, got 'fast'"),
+        ("disable_memory=yes", "expected true or false, got 'yes'"),
+    ])
+    def test_parse_errors_keep_their_text(self, tmp_path, line, reason):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        key = line.partition("=")[0]
+        assert exc.value.key == key
+        assert str(exc.value) == f"config key '{key}': {reason}"
+
     @pytest.mark.parametrize("line", ["lr=0\x0c0", "ep\x1bochs=1", "no\x85separator"])
     def test_control_characters_print_escaped(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"
@@ -568,6 +582,18 @@ class TestPipeline:
         assert caught == []
         assert len(err.splitlines()) == 1
         assert err.startswith("error: pipeline stage 'pretrain': pretrain step 2")
+
+    def test_finite_divergence_exits_3(self, tmp_path):
+        # At this rate the losses stay finite, but the second epoch's mean
+        # generation loss is millions of times ln V.
+        cfg = write_config(tmp_path, data=str(tmp_path / "d.jsonl"),
+                           vocab=str(tmp_path / "v.txt"), lr="1e6", synth_count="10", epochs="2")
+        code, out, err = invoke(["pipeline", "--config", cfg])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: pipeline stage 'pretrain': pretrain epoch 2: mean l_gen ")
+        assert err.endswith(" (diverging)\n")
 
     @pytest.mark.parametrize("value", ["-1", str(2**32), str(10**20)])
     @pytest.mark.parametrize("key", ["d", "l_chunk", "seed", "key_k", "min_freq", "synth_seed"])

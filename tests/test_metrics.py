@@ -20,8 +20,9 @@ from compsum.corpus import (
 from compsum.errors import DataError
 from compsum.metrics import (
     CONNECTIVES,
-    EvalReport,
     ExampleScores,
+    aggregate_record,
+    compute_rouge,
     evaluate_dataset,
     g_score,
     lcs_length,
@@ -154,6 +155,12 @@ class TestRougeL:
         assert lcs_length("a x b y c".split(), "a b c".split()) == 3
 
 
+def test_compute_rouge_is_rouge1_rouge2_rougeL():
+    cand, ref = "a b c a d".split(), "a c b a d e".split()
+    want = (rouge_n(cand, ref, 1), rouge_n(cand, ref, 2), rouge_l(cand, ref))
+    assert compute_rouge(cand, ref) == want
+
+
 class TestSplitSentences:
     def test_basic(self):
         toks = "alpha beats beta . gamma runs .".split()
@@ -242,28 +249,28 @@ EVAL_ARGS = dict(l_chunk=16, max_len=30, tau=0.5, key_k=2)
 class TestEvaluateDataset:
     def test_report_shape_and_ranges(self, setup):
         params, dataset, vocab = setup
-        report = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
-        assert len(report.rows) == 3
-        assert [r.id for r in report.rows] == [ps.id for ps in dataset]
-        for row in report.rows:
+        rows = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
+        assert len(rows) == 3
+        assert [r.id for r in rows] == [ps.id for ps in dataset]
+        for row in rows:
             assert 0.0 <= row.rouge1_f1 <= 1.0
             assert 0.0 <= row.rougeL_f1 <= 1.0
             assert 0.0 <= row.g_score <= 100.0
 
     def test_aggregate_is_mean_of_rows(self, setup):
         params, dataset, vocab = setup
-        report = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
-        aggregate = report.aggregate_record()
-        assert_allclose(aggregate["rouge1_f1"], np.mean([r.rouge1_f1 for r in report.rows]),
+        rows = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
+        aggregate = aggregate_record(rows)
+        assert_allclose(aggregate["rouge1_f1"], np.mean([r.rouge1_f1 for r in rows]),
                         rtol=1e-12)
-        assert_allclose(aggregate["g_score"], np.mean([r.g_score for r in report.rows]),
+        assert_allclose(aggregate["g_score"], np.mean([r.g_score for r in rows]),
                         rtol=1e-12)
 
     def test_aggregate_sums_left_to_right(self):
         # 1e16 + 1 rounds back to 1e16, so the plain running sum is 0, where
         # a compensated sum (math.fsum, or sum() from Python 3.12) gives 1.
         rows = [ExampleScores(str(i), v, v, v, v) for i, v in enumerate((1e16, 1.0, -1e16))]
-        aggregate = EvalReport(rows).aggregate_record()
+        aggregate = aggregate_record(rows)
         assert aggregate == {
             "rouge1_f1": 0.0, "rouge2_f1": 0.0, "rougeL_f1": 0.0, "g_score": 0.0,
             "example_count": 3,
@@ -280,22 +287,22 @@ class TestEvaluateDataset:
         params, dataset, vocab = setup
         a = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
         b = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
-        assert a.to_lines() == b.to_lines()
+        assert a == b
 
     def test_ablation_flags_complete(self, setup):
         params, dataset, vocab = setup
         for flags, key_k in ((AblationFlags(disable_memory=True), 2), (AblationFlags(), 0)):
             args = dict(EVAL_ARGS, key_k=key_k)
-            report = evaluate_dataset(params, dataset, vocab, **args, flags=flags)
-            assert len(report.rows) == 3
+            rows = evaluate_dataset(params, dataset, vocab, **args, flags=flags)
+            assert len(rows) == 3
 
     def test_report_file_round_trip(self, setup, tmp_path):
         params, dataset, vocab = setup
-        report = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
+        rows = evaluate_dataset(params, dataset, vocab, **EVAL_ARGS, flags=AblationFlags())
         path = str(tmp_path / "report.jsonl")
-        write_report(path, report)
+        write_report(path, rows)
         lines = open(path, encoding="utf-8").read().splitlines()
-        assert len(lines) == 1 + len(report.rows)
+        assert len(lines) == 1 + len(rows)
         aggregate = json.loads(lines[0])
         scores = ["rouge1_f1", "rouge2_f1", "rougeL_f1", "g_score"]
         assert list(aggregate) == scores + ["example_count"]

@@ -201,4 +201,4 @@ def test_evaluate_dataset_equals_per_example_oracle(tmp_path, monkeypatch, memor
     )
     # one greedy_decode call per example, each from its prefilled start
     assert len(calls) == len(dataset) and None not in calls
-    assert got.to_lines() == want.to_lines()
+    assert got == want
